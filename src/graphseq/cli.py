@@ -1,8 +1,9 @@
 """Command-line front end wiring the engine, oracle, walk lab and constants.
 
 Subcommands: count, count-ondemand, oracle, walk, rho, constants, verify.
-Exit codes: 0 success, 1 verification failure, 2 bad arguments (argparse),
-3 memory budget reached (a checkpoint of the last complete layer was saved).
+Exit codes: 0 success, 1 verification failure, 2 bad arguments or an
+unreadable checkpoint, 3 memory budget reached (``count`` saves a checkpoint
+of the last complete layer first).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -132,13 +134,12 @@ def _save_checkpoint(layer, directory: Path) -> Path:
 def cmd_count(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     want_h = args.format == "csv"
-    even = engine.stream_counts(
-        args.max_n, engine.Parity.EVEN, workers=args.workers,
-        memory_limit=args.memory_limit,
-    )
+    limit = args.memory_limit
+    if want_h and limit is not None:
+        limit //= 2  # the even and odd streams hold their layers side by side
+    even = engine.stream_counts(args.max_n, engine.Parity.EVEN, memory_limit=limit)
     odd = (
-        engine.stream_counts(args.max_n, engine.Parity.ODD, workers=args.workers,
-                             memory_limit=args.memory_limit)
+        engine.stream_counts(args.max_n, engine.Parity.ODD, memory_limit=limit)
         if want_h
         else None
     )
@@ -179,10 +180,24 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _fail(command: str, message: str, code: int) -> int:
+    print(f"graphseq {command}: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_count_ondemand(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
-    ckpt = engine.Checkpoint.load(args.checkpoint)
-    rows = engine.extend_counts(ckpt, args.target_n, memory_limit=args.memory_limit)
+    try:
+        ckpt = engine.Checkpoint.load(args.checkpoint)
+    except (OSError, engine.CheckpointFormatError) as exc:
+        return _fail("count-ondemand", f"cannot read {args.checkpoint}: {exc}", EXIT_BAD_ARGS)
+    if args.target_n <= ckpt.depth + 1:
+        return _fail("count-ondemand", f"--target-n {args.target_n} must exceed the "
+                     f"checkpoint's n = {ckpt.depth + 1}", EXIT_BAD_ARGS)
+    try:
+        rows = engine.extend_counts(ckpt, args.target_n, memory_limit=args.memory_limit)
+    except engine.MemoryBudgetExceeded as exc:
+        return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
     lines = bfile_lines(rows)
     _emit(lines, store, "results.bfile", "count-ondemand",
           {"checkpoint": str(args.checkpoint), "target_n": args.target_n})
@@ -264,10 +279,8 @@ def _pmf_for(kind: str, order: int, exact: bool) -> constants.AreaPmf:
 def cmd_rho(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     grids = args.grid or [2]
-    extrapolate = (
-        [int(v) for v in args.extrapolate.split(",")] if args.extrapolate else []
-    )
-    order = args.coeff_order or max(list(grids) + extrapolate)
+    extrapolate = args.extrapolate or []
+    order = args.coeff_order or max(grids + extrapolate)
     pmf = _pmf_for(args.kind, order, args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
     human = []
@@ -300,7 +313,7 @@ def cmd_rho(args) -> int:
 
 def cmd_constants(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
-    grids = [int(v) for v in args.grids.split(",")]
+    grids = args.grids
     order = args.coeff_order or max(grids)
     t0 = time.time()
     lines = []
@@ -370,34 +383,42 @@ def cmd_verify(args) -> int:
                 want = _reference_count(8, y, a, engine.Parity.EVEN)
                 eq(got, want, f"cap read ({y}, {a})")
 
-    def determinism():
-        layer = engine.initial_layer(engine.Parity.EVEN)
-        for _ in range(7):
-            layer = engine.advance(layer)
-        eq(engine.advance(layer, workers=1), engine.advance(layer, workers=2),
-           "worker count changes the layer")
+    def mc_determinism():
+        runs = [walklab.persistence_mc(12, 3000, seed=5, batch=700, workers=w)
+                for w in (1, 2)]
+        eq(runs[0], runs[1], "worker count changes the estimate")
 
-    def checkpoints():
+    def checkpoint_layer():
         layer = engine.initial_layer(engine.Parity.ODD)
         for _ in range(6):
             layer = engine.advance(layer)
-        import tempfile
+        return layer
 
-        path = tempfile.mktemp(suffix=".ckpt")
-        engine.Checkpoint.of(layer).save(path)
-        back = engine.Checkpoint.load(path)
-        os.unlink(path)
+    def checkpoints():
+        layer = checkpoint_layer()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "layer.ckpt")
+            engine.Checkpoint.of(layer).save(path)
+            back = engine.Checkpoint.load(path)
         eq(back.layer, layer, "checkpoint roundtrip")
         eq(engine.extend_on_demand(back, 9),
            engine.count_graphic(10, engine.Parity.ODD), "on-demand extension")
 
-    def difference():
-        layer = engine.initial_layer(engine.Parity.EVEN)
-        for _ in range(5):
-            layer = engine.advance(layer)
-        diff = engine.to_difference(layer)
-        eq(engine.from_difference(diff), layer, "difference roundtrip")
-        eq(diff.value(0, 0), layer.value(0, 0), "difference at area 0")
+    def checkpoint_damage():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "layer.ckpt")
+            engine.Checkpoint.of(checkpoint_layer()).save(path)
+            good = path.read_bytes()
+            damaged = [good[:cut] for cut in (20, len(good) // 2, len(good) - 2)]
+            damaged += [good[:i] + bytes([good[i] ^ 0x40]) + good[i + 1:]
+                        for i in (9, len(good) // 2, len(good) - 1)]
+            for data in damaged:
+                path.write_bytes(data)
+                try:
+                    engine.Checkpoint.load(path)
+                except engine.CheckpointFormatError:
+                    continue
+                raise AssertionError(f"a damaged checkpoint of {len(data)} bytes loaded")
 
     def graphicality_tests_agree():
         for n in range(1, 8):
@@ -481,9 +502,9 @@ def cmd_verify(args) -> int:
     check("engine counts match the brute-force oracle", engine_vs_oracle)
     check("monotone growth and the (G+H)/2 bound", growth)
     check("cap reads agree with the cap-free reference", caps)
-    check("advance is worker-count independent", determinism)
+    check("Monte Carlo is worker-count independent", mc_determinism)
     check("checkpoint save/load/extend", checkpoints)
-    check("difference transform", difference)
+    check("checkpoint rejects truncation and corruption", checkpoint_damage)
     check("conjugate test agrees with havel-hakimi", graphicality_tests_agree)
     check("sequence-to-walk mapping", walk_mapping)
     check("generating function vs first-passage dp", series)
@@ -524,18 +545,52 @@ def _reference_count(depth: int, y: int, a: int, parity) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"grid size must be >= 2, got {value}")
+    return value
+
+
+def _grid_list(text: str) -> list:
+    grids = [_grid_size(v) for v in text.split(",")]
+    if len(grids) < 2 or len(set(grids)) != len(grids):
+        raise argparse.ArgumentTypeError(f"need at least two distinct grids, got {text!r}")
+    return grids
+
+
+def _check_coeff_order(parser: argparse.ArgumentParser, args) -> None:
+    """The chain needs K >= n for every grid n it is solved on."""
+    if getattr(args, "coeff_order", None) is None:
+        return
+    if args.command == "rho":
+        grids = (args.grid or [2]) + (args.extrapolate or [])
+    else:
+        grids = args.grids
+    if args.coeff_order < max(grids):
+        parser.error(f"{args.command}: --coeff-order {args.coeff_order} is below "
+                     f"the largest grid {max(grids)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphseq",
         description="Exact graphic-sequence counts and their growth constants.",
     )
     parser.add_argument("--run-dir", help="directory for the plain-file results store")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for layer advances and MC shards")
+    parser.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                        help="worker threads for the Monte Carlo shards of walk")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="stream exact counts while advancing layers")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True)
     p.add_argument("--format", choices=("bfile", "csv"), default="bfile")
     p.add_argument("--memory-limit", type=int, default=None,
                    help="byte ceiling; on breach checkpoint and exit 3")
@@ -560,26 +615,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("walk", help="bridge persistence estimates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--end", choices=("zero", "either"), default="zero")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=200_000)
+    p.add_argument("--batch", type=_positive_int, default=200_000)
     p.add_argument("--exact", action="store_true",
                    help="also print the exact value (small n only)")
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("rho", help="absorbing-chain bounds and extrapolation")
-    p.add_argument("--grid", type=int, action="append", metavar="N")
+    p.add_argument("--grid", type=_grid_size, action="append", metavar="N")
     p.add_argument("--coeff-order", type=int, default=None, metavar="K")
     p.add_argument("--kind", choices=("lazy", "simple"), default="lazy")
     p.add_argument("--exact", action="store_true",
                    help="exact rational solve (small grids)")
-    p.add_argument("--extrapolate", default=None, metavar="N1,N2,...")
+    p.add_argument("--extrapolate", type=_grid_list, default=None, metavar="N1,N2,...")
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("constants", help="report rho, c and the simple-walk variant")
-    p.add_argument("--grids", default=",".join(str(g) for g in DEFAULT_EXTRAPOLATION_GRIDS))
+    p.add_argument("--grids", type=_grid_list,
+                   default=",".join(str(g) for g in DEFAULT_EXTRAPOLATION_GRIDS))
     p.add_argument("--coeff-order", type=int, default=None)
     p.set_defaults(func=cmd_constants)
 
@@ -594,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_coeff_order(parser, args)
     return args.func(args)
 
 

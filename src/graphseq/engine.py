@@ -21,16 +21,21 @@ Layers are stored per height as dense bands over the feasible area range.
 Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
 Above the stabilization cap the counts are periodic in the area with period
-two, so a band keeps exactly two representative values at the cap.
+two, so a band keeps exactly two representative values at the cap.  A
+checkpoint stores those same limb blocks raw, so saving and loading a layer
+is a copy, not a conversion.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
+import zlib
 from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -39,12 +44,12 @@ LIMB_BITS = 60
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
-CHECKPOINT_VERSION_PLAIN = 1
-CHECKPOINT_VERSION_DIFFERENCE = 2
-
-# serialized layers switch to the difference form beyond this depth: the
-# differences carry far fewer digits once the bands are long
-DIFFERENCE_DEPTH_THRESHOLD = 64
+# versions 1 and 2 stored decimal digits (2 as area differences); they are refused
+CHECKPOINT_VERSION = 3
+# after the magic: version, parity, depth, band count, limbs per cell
+_CKPT_HEADER = struct.Struct("<IBQQQ")
+_CKPT_BAND = struct.Struct("<qqq")  # y, lo, cap; a limb block follows
+_CKPT_CRC = struct.Struct("<I")
 
 
 class Parity(IntEnum):
@@ -71,7 +76,7 @@ class MemoryBudgetExceeded(Exception):
 
 
 class CheckpointFormatError(Exception):
-    """Bad magic bytes or an unknown format version."""
+    """A checkpoint file that is not a complete, intact current-version layer."""
 
 
 def decrease_cap(n_steps: int, y: int) -> int:
@@ -103,16 +108,6 @@ def _nlimbs(depth: int) -> int:
     return (2 * depth + LIMB_BITS - 1) // LIMB_BITS + 1
 
 
-def _int_to_limbs(value: int, nl: int) -> np.ndarray:
-    out = np.zeros(nl, dtype=np.int64)
-    for i in range(nl):
-        out[i] = value & LIMB_MASK
-        value >>= LIMB_BITS
-    if value:
-        raise OverflowError("value does not fit in the limb budget")
-    return out
-
-
 def _limbs_to_int(limbs: np.ndarray) -> int:
     value = 0
     for i in range(len(limbs) - 1, -1, -1):
@@ -142,23 +137,17 @@ class Band:
 
 @dataclass
 class Layer:
-    """All counts at one recursion depth, one band per height.
-
-    ``representation`` is "plain" for F itself or "difference" for the
-    transform f(a) = F(a) - F(a-1); difference bands hold Python ints since
-    they are only used for (de)serialization and small-scale inspection.
-    """
+    """All counts at one recursion depth, one band per height."""
 
     depth: int
     parity: Parity
     bands: dict
-    representation: str = "plain"
 
     def heights(self) -> list:
         return sorted(self.bands)
 
     def value(self, y: int, a: int) -> int:
-        """F(depth, y, a) (or f for a difference layer), zero off the bands."""
+        """F(depth, y, a), zero off the bands."""
         if a < 0:
             return 0
         band = self.bands.get(y)
@@ -167,47 +156,13 @@ class Layer:
         if a < band.lo:
             return 0
         if a > band.cap + 1:
-            if self.representation == "plain":
-                # periodic in the area above the cap, period two
-                a = band.cap + ((a - band.cap) & 1)
-            else:
-                # F has period two above the cap, so the differences alternate:
-                # f(a) = -f(cap+1) for a - cap even, +f(cap+1) for a - cap odd
-                top = band.limbs[band.cap + 1 - band.lo]
-                return top if (a - band.cap) & 1 else -top
-        if self.representation == "plain":
-            return _limbs_to_int(band.limbs[a - band.lo])
-        return band.limbs[a - band.lo]
+            # periodic in the area above the cap, period two
+            a = band.cap + ((a - band.cap) & 1)
+        return _limbs_to_int(band.limbs[a - band.lo])
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        for band in self.bands.values():
-            if self.representation == "plain":
-                total += band.limbs.nbytes
-            else:
-                total += sum(sys.getsizeof(v) for v in band.limbs) + 8 * len(band.limbs)
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Layer):
-            return NotImplemented
-        if (self.depth, self.parity, self.representation) != (
-            other.depth,
-            other.parity,
-            other.representation,
-        ):
-            return False
-        if set(self.bands) != set(other.bands):
-            return False
-        if self.representation == "plain":
-            return all(self.bands[y] == other.bands[y] for y in self.bands)
-        return all(
-            self.bands[y].lo == other.bands[y].lo
-            and self.bands[y].cap == other.bands[y].cap
-            and self.bands[y].limbs == other.bands[y].limbs
-            for y in self.bands
-        )
+        return sum(band.limbs.nbytes for band in self.bands.values())
 
 
 def initial_layer(parity: Parity) -> Layer:
@@ -274,30 +229,13 @@ def _advance_band(parent_bands: dict, depth: int, y: int, nl: int) -> Band:
     return Band(lo, cap, _carry_normalize(total))
 
 
-def advance(layer: Layer, workers: int = 1) -> Layer:
-    """Produce the layer one depth further.
-
-    The parent layer is read-only and every band of the child is computed
-    independently with pure integer arithmetic, so the result is bit-identical
-    for any worker count and any evaluation order.
-    """
-    if layer.representation != "plain":
-        raise ValueError("advance expects a plain-representation layer")
+def advance(layer: Layer) -> Layer:
+    """Produce the layer one depth further, reading the parent only."""
     depth = layer.depth + 1
     nl = _nlimbs(depth)
-    heights = list(range(-depth - 1, depth + 1))
-    parent = layer.bands
-    if workers <= 1 or len(heights) < 4:
-        bands = {y: _advance_band(parent, depth, y, nl) for y in heights}
-    else:
-        chunks = np.array_split(np.asarray(heights), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            def run(chunk):
-                return {int(y): _advance_band(parent, depth, int(y), nl) for y in chunk}
-            parts = list(pool.map(run, chunks))
-        bands = {}
-        for part in parts:
-            bands.update(part)
+    bands = {
+        y: _advance_band(layer.bands, depth, y, nl) for y in range(-depth - 1, depth + 1)
+    }
     return Layer(depth, layer.parity, bands)
 
 
@@ -312,7 +250,6 @@ def _estimate_layer_bytes(depth: int) -> int:
 def stream_counts(
     max_n: int,
     parity: Parity = Parity.EVEN,
-    workers: int = 1,
     memory_limit: int | None = None,
 ) -> Iterator[tuple]:
     """Yield (n, count, layer) for n = 1..max_n.
@@ -332,125 +269,111 @@ def stream_counts(
             needed = layer.nbytes + _estimate_layer_bytes(depth)
             if needed > memory_limit:
                 raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
-        layer = advance(layer, workers=workers)
+        layer = advance(layer)
         yield n, layer.value(0, 0), layer
 
 
-def count_graphic(n: int, parity: Parity = Parity.EVEN, workers: int = 1) -> int:
+def count_graphic(n: int, parity: Parity = Parity.EVEN) -> int:
     """G(n) for Parity.EVEN, H(n) for Parity.ODD (exact)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for _, value, _ in stream_counts(n, parity, workers=workers):
+    for _, value, _ in stream_counts(n, parity):
         pass
     return value
-
-
-# ---------------------------------------------------------------------------
-# difference transform
-
-
-def to_difference(layer: Layer) -> Layer:
-    """Per band, replace F(a) by f(a) = F(a) - F(a-1) (F is zero below lo)."""
-    if layer.representation != "plain":
-        raise ValueError("layer is already in difference form")
-    bands = {}
-    for y, band in layer.bands.items():
-        values = [_limbs_to_int(band.limbs[i]) for i in range(band.limbs.shape[0])]
-        diffs = [values[0]] + [values[i] - values[i - 1] for i in range(1, len(values))]
-        bands[y] = Band(band.lo, band.cap, diffs)
-    return Layer(layer.depth, layer.parity, bands, representation="difference")
-
-
-def from_difference(layer: Layer) -> Layer:
-    """Invert :func:`to_difference` exactly."""
-    if layer.representation != "difference":
-        raise ValueError("layer is not in difference form")
-    nl = _nlimbs(layer.depth)
-    bands = {}
-    for y, band in layer.bands.items():
-        limbs = np.zeros((len(band.limbs), nl), dtype=np.int64)
-        running = 0
-        for i, d in enumerate(band.limbs):
-            running += d
-            limbs[i] = _int_to_limbs(running, nl)
-        bands[y] = Band(band.lo, band.cap, limbs)
-    return Layer(layer.depth, layer.parity, bands, representation="plain")
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
+def _crc_write(fh, data, crc: int) -> int:
+    fh.write(data)
+    return zlib.crc32(data, crc)
+
+
+def _crc_read(fh, size: int, crc: int) -> tuple:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CheckpointFormatError("checkpoint is truncated")
+    return data, zlib.crc32(data, crc)
+
+
 @dataclass
 class Checkpoint:
-    """A serializable snapshot of one complete layer."""
+    """A serializable snapshot of one complete layer.
 
-    version: int
+    File layout, all little-endian: the magic bytes; the header (version u32,
+    parity u8, depth u64, band count u64, limbs per cell u64); per band in
+    increasing height, (y, lo, cap) as i64 and the band's int64 limb block of
+    (cap + 2 - lo) x limbs; last, the zlib crc32 of everything before it.
+    """
+
     parity: Parity
     depth: int
     layer: Layer
 
     @classmethod
     def of(cls, layer: Layer) -> "Checkpoint":
-        version = (
-            CHECKPOINT_VERSION_DIFFERENCE
-            if layer.depth > DIFFERENCE_DEPTH_THRESHOLD
-            else CHECKPOINT_VERSION_PLAIN
-        )
-        return cls(version, layer.parity, layer.depth, layer)
+        return cls(layer.parity, layer.depth, layer)
 
     def save(self, path) -> None:
+        """Write atomically: a temp file in the same directory, fsync, rename."""
+        path = Path(path)
         layer = self.layer
-        stored = to_difference(layer) if self.version == CHECKPOINT_VERSION_DIFFERENCE else layer
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IBQQ", self.version, int(self.parity), self.depth,
-                                 len(stored.bands)))
-            for y in stored.heights():
-                band = stored.bands[y]
-                fh.write(struct.pack("<qqqQ", y, band.lo, band.cap,
-                                     band.cap + 2 - band.lo))
-                if stored.representation == "plain":
-                    values = (_limbs_to_int(band.limbs[i])
-                              for i in range(band.limbs.shape[0]))
-                else:
-                    values = iter(band.limbs)
-                for v in values:
-                    digits = str(v).encode("ascii")
-                    fh.write(struct.pack("<I", len(digits)))
-                    fh.write(digits)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
+                crc = _crc_write(fh, _CKPT_HEADER.pack(
+                    CHECKPOINT_VERSION, int(self.parity), self.depth, len(layer.bands),
+                    _nlimbs(self.depth)), crc)
+                for y in layer.heights():
+                    band = layer.bands[y]
+                    crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
+                    crc = _crc_write(fh, np.ascontiguousarray(band.limbs, dtype="<i8"), crc)
+                fh.write(_CKPT_CRC.pack(crc))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read and validate a checkpoint; CheckpointFormatError if it is not intact."""
         with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
+            magic, crc = _crc_read(fh, len(CHECKPOINT_MAGIC), 0)
             if magic != CHECKPOINT_MAGIC:
                 raise CheckpointFormatError(f"bad magic bytes {magic!r}")
-            version, parity, depth, nbands = struct.unpack("<IBQQ", fh.read(21))
-            if version not in (CHECKPOINT_VERSION_PLAIN, CHECKPOINT_VERSION_DIFFERENCE):
-                raise CheckpointFormatError(f"unsupported format version {version}")
+            header, crc = _crc_read(fh, _CKPT_HEADER.size, crc)
+            (version,) = struct.unpack_from("<I", header)
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointFormatError(
+                    f"unsupported checkpoint format version {version} "
+                    f"(this build reads version {CHECKPOINT_VERSION} only)")
+            _, parity, depth, nbands, nl = _CKPT_HEADER.unpack(header)
+            if parity not in (Parity.EVEN, Parity.ODD) or nbands != 2 * depth + 2 \
+                    or nl != _nlimbs(depth):
+                raise CheckpointFormatError("header disagrees with the layer geometry")
             bands = {}
-            for _ in range(nbands):
-                y, lo, cap, count = struct.unpack("<qqqQ", fh.read(32))
-                values = []
-                for _ in range(count):
-                    (ln,) = struct.unpack("<I", fh.read(4))
-                    values.append(int(fh.read(ln).decode("ascii")))
-                bands[y] = (lo, cap, values)
-        parity = Parity(parity)
-        if version == CHECKPOINT_VERSION_DIFFERENCE:
-            diff = Layer(depth, parity,
-                         {y: Band(lo, cap, values) for y, (lo, cap, values) in bands.items()},
-                         representation="difference")
-            layer = from_difference(diff)
-        else:
-            nl = _nlimbs(depth)
-            layer = Layer(depth, parity, {
-                y: Band(lo, cap,
-                        np.stack([_int_to_limbs(v, nl) for v in values]))
-                for y, (lo, cap, values) in bands.items()
-            })
-        return cls(version, parity, depth, layer)
+            for y in range(-depth - 1, depth + 1):
+                record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
+                got_y, lo, cap = _CKPT_BAND.unpack(record)
+                if (got_y, lo, cap) != (y, area_floor(y), max(0, decrease_cap(depth, y))):
+                    raise CheckpointFormatError(f"band {got_y} disagrees with the layer geometry")
+                limbs = np.empty((cap + 2 - lo, nl), dtype="<i8")
+                raw = memoryview(limbs).cast("B")
+                if fh.readinto(raw) != len(raw):
+                    raise CheckpointFormatError("checkpoint is truncated")
+                crc = zlib.crc32(raw, crc)
+                bands[y] = Band(lo, cap, limbs.astype(np.int64, copy=False))
+            stored, _ = _crc_read(fh, _CKPT_CRC.size, 0)
+            if _CKPT_CRC.unpack(stored)[0] != crc:
+                raise CheckpointFormatError("checksum mismatch")
+            if fh.read(1):
+                raise CheckpointFormatError("trailing bytes after the checksum")
+        return cls(Parity(parity), depth, Layer(depth, Parity(parity), bands))
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +418,11 @@ def _extend(
     checkpoint: Checkpoint, target_depth: int, memory_limit: int | None = None
 ) -> tuple:
     base = checkpoint.layer
-    if base.representation != "plain":
-        base = from_difference(base)
     if target_depth <= base.depth:
         raise ValueError("target depth must exceed the checkpoint depth")
     memo: dict = {}
-    budget_cells = None
-    if memory_limit is not None:
-        # a memo cell costs roughly a key tuple plus a count of ~depth/4 digits
-        budget_cells = max(1, memory_limit // (120 + target_depth // 2))
+    # a memo cell costs roughly a key tuple plus a count of ~depth/4 digits
+    cell_bytes = 120 + target_depth // 2
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * (target_depth - base.depth) + 1000))
 
     def walk_count(depth: int, y: int, a: int) -> int:
@@ -526,8 +445,8 @@ def _extend(
             + 2 * walk_count(depth - 1, y, a + y)
         )
         memo[key] = value
-        if budget_cells is not None and len(memo) > budget_cells:
-            raise MemoryBudgetExceeded(depth, base, len(memo) * 120, memory_limit)
+        if memory_limit is not None and len(memo) * cell_bytes > memory_limit:
+            raise MemoryBudgetExceeded(depth, base, len(memo) * cell_bytes, memory_limit)
         return value
 
     return walk_count(target_depth, 0, 0), memo

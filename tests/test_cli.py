@@ -6,6 +6,7 @@ import pytest
 
 from graphseq import cli, engine
 from graphseq.cli import (
+    EXIT_BAD_ARGS,
     EXIT_MEMORY_CHECKPOINT,
     EXIT_OK,
     bfile_lines,
@@ -16,12 +17,36 @@ from graphseq.cli import (
 )
 
 
+def layer_at(depth):
+    layer = engine.initial_layer(engine.Parity.EVEN)
+    for _ in range(depth):
+        layer = engine.advance(layer)
+    return layer
+
+
 def test_bad_arguments_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         run(["count"])  # --max-n missing
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         run(["no-such-command"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--max-n", "0"],
+        ["rho", "--grid", "16", "--coeff-order", "8"],
+        ["constants", "--grids", "8"],
+        ["walk", "--n", "0"],
+        ["walk", "--n", "5", "--samples", "0"],
+    ],
+)
+def test_out_of_range_arguments_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == EXIT_BAD_ARGS
+    assert capsys.readouterr().out == ""
 
 
 def test_count_bfile_output(capsys):
@@ -83,6 +108,19 @@ def test_memory_limit_checkpoints_and_exit_three(tmp_path, capsys):
     assert ckpt.layer.value(0, 0) == engine.count_graphic(ckpt.depth + 1)
 
 
+def test_csv_splits_memory_limit_between_streams(tmp_path, capsys):
+    limit = 6000
+    code = run([
+        "count", "--max-n", "40", "--format", "csv", "--memory-limit", str(limit),
+        "--checkpoint-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MEMORY_CHECKPOINT
+    with pytest.raises(engine.MemoryBudgetExceeded) as info:
+        list(engine.stream_counts(40, memory_limit=limit // 2))
+    (saved,) = tmp_path.glob("*.ckpt")
+    assert engine.Checkpoint.load(saved).depth == info.value.layer.depth
+
+
 def test_memory_limit_interrupted_run_recorded(tmp_path, capsys):
     run_dir = tmp_path / "store"
     code = run([
@@ -104,15 +142,49 @@ def test_checkpoint_dir_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_count_ondemand_continues_from_checkpoint(tmp_path, capsys):
-    layer = engine.initial_layer(engine.Parity.EVEN)
-    for _ in range(9):
-        layer = engine.advance(layer)
+    layer = layer_at(9)
     path = tmp_path / "even.ckpt"
     engine.Checkpoint.of(layer).save(path)
     code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "14"])
     assert code == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert out == [f"{n} {engine.count_graphic(n)}" for n in range(11, 15)]
+
+
+def ondemand_failure(capsys, argv):
+    code = run(["count-ondemand", *argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return code
+
+
+def test_count_ondemand_memory_budget_exits_three(tmp_path, capsys):
+    path = tmp_path / "even.ckpt"
+    engine.Checkpoint.of(layer_at(3)).save(path)
+    argv = ["--checkpoint", str(path), "--target-n", "60", "--memory-limit", "2000"]
+    assert ondemand_failure(capsys, argv) == EXIT_MEMORY_CHECKPOINT
+
+
+def test_count_ondemand_budget_message_is_consistent(tmp_path):
+    ckpt = engine.Checkpoint.of(layer_at(3))
+    with pytest.raises(engine.MemoryBudgetExceeded) as info:
+        engine.extend_counts(ckpt, 60, memory_limit=2000)
+    assert info.value.needed > info.value.budget == 2000
+
+
+def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
+    path = tmp_path / "even.ckpt"
+    engine.Checkpoint.of(layer_at(5)).save(path)
+    good = path.read_bytes()
+    missing = ["--checkpoint", str(tmp_path / "missing.ckpt"), "--target-n", "9"]
+    assert ondemand_failure(capsys, missing) == EXIT_BAD_ARGS
+    for target in ("6", "3"):  # the checkpoint's n is 6
+        argv = ["--checkpoint", str(path), "--target-n", target]
+        assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
+    path.write_bytes(good[: len(good) // 2])
+    argv = ["--checkpoint", str(path), "--target-n", "9"]
+    assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
 
 
 def test_periodic_checkpoints(tmp_path, capsys):

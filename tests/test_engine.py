@@ -1,5 +1,7 @@
 """Layer recursion: initial condition, advances, caps, checkpoints, extension."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,17 +18,15 @@ from graphseq.engine import (
     decrease_cap,
     extend_counts,
     extend_on_demand,
-    from_difference,
     initial_layer,
     stream_counts,
-    to_difference,
 )
 
 
-def layer_at(depth, parity=Parity.EVEN, workers=1):
+def layer_at(depth, parity=Parity.EVEN):
     layer = initial_layer(parity)
     for _ in range(depth):
-        layer = advance(layer, workers=workers)
+        layer = advance(layer)
     return layer
 
 
@@ -193,40 +193,6 @@ def test_cap_reads_match_reference(parity):
                 assert reference_count(depth, y, floor - 1, parity) == 0
 
 
-def test_advance_deterministic_across_workers():
-    layer = layer_at(9)
-    results = [advance(layer, workers=w) for w in (1, 2, 3)]
-    assert results[0] == results[1] == results[2]
-    assert results[0].value(0, 0) == count_graphic(11)
-
-
-# ---------------------------------------------------------------------------
-# difference transform
-
-
-def test_difference_roundtrip_depth5():
-    layer = layer_at(5)
-    assert from_difference(to_difference(layer)) == layer
-
-
-def test_difference_at_zero_area_equals_plain():
-    layer = layer_at(7)
-    diff = to_difference(layer)
-    assert diff.value(0, 0) == layer.value(0, 0)
-
-
-def test_difference_stabilized_parity_depth6():
-    # above cap+1 the plain counts repeat with period two, so consecutive
-    # differences cancel: f(a) + f(a-1) = F(a) - F(a-2) = 0 for a >= cap + 2
-    layer = layer_at(6)
-    diff = to_difference(layer)
-    for y in layer.heights():
-        cap = layer.bands[y].cap
-        for a in range(cap + 2, cap + 8):
-            assert layer.value(y, a) == layer.value(y, a - 2)
-            assert diff.value(y, a) + diff.value(y, a - 1) == 0
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -239,29 +205,63 @@ def test_checkpoint_roundtrip(parity, tmp_path):
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer
     assert loaded.depth == 10 and loaded.parity == parity
-    assert loaded.version == engine.CHECKPOINT_VERSION_PLAIN
 
 
-def test_checkpoint_difference_encoding_past_threshold(tmp_path):
-    layer = layer_at(engine.DIFFERENCE_DEPTH_THRESHOLD + 2)
+def test_checkpoint_roundtrip_four_limbs(tmp_path):
+    layer = layer_at(70)
+    assert engine._nlimbs(70) == 4
     path = tmp_path / "deep.ckpt"
-    ckpt = Checkpoint.of(layer)
-    assert ckpt.version == engine.CHECKPOINT_VERSION_DIFFERENCE
-    ckpt.save(path)
+    Checkpoint.of(layer).save(path)
     assert Checkpoint.load(path).layer == layer
 
 
+def saved_bytes(tmp_path, depth=4):
+    path = tmp_path / "layer.ckpt"
+    Checkpoint.of(layer_at(depth)).save(path)
+    return path, path.read_bytes()
+
+
 def test_checkpoint_version_mismatch(tmp_path):
-    layer = layer_at(3)
-    path = tmp_path / "bad.ckpt"
-    ckpt = Checkpoint.of(layer)
-    ckpt.version = 77
-    ckpt.save(path)
+    path, good = saved_bytes(tmp_path)
+    for version in (1, 2, 77):
+        path.write_bytes(good[:8] + version.to_bytes(4, "little") + good[12:])
+        with pytest.raises(CheckpointFormatError, match=f"version {version}"):
+            Checkpoint.load(path)
+    path.write_bytes(b"NOTMAGIC" + good[8:])
     with pytest.raises(CheckpointFormatError):
         Checkpoint.load(path)
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+
+
+# mid-band: 8 magic + 29 header + 24 first band record + 20 of its 32 limb bytes
+@pytest.mark.parametrize(
+    "cut", [20, 8 + 29 + 24 + 20, -4], ids=["header", "mid-band", "before-checksum"]
+)
+def test_checkpoint_truncation(cut, tmp_path):
+    path, good = saved_bytes(tmp_path)
+    path.write_bytes(good[:cut])
     with pytest.raises(CheckpointFormatError):
         Checkpoint.load(path)
+
+
+def test_checkpoint_single_byte_corruption(tmp_path):
+    path, good = saved_bytes(tmp_path, depth=2)
+    for i in range(len(good)):
+        path.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1 :])
+        with pytest.raises(CheckpointFormatError):
+            Checkpoint.load(path)
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    path, _ = saved_bytes(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        Checkpoint.of(layer_at(6)).save(path)
+    assert Checkpoint.load(path).layer == layer_at(4)
+    assert [p.name for p in tmp_path.iterdir()] == ["layer.ckpt"]
 
 
 def test_checkpoint_magic_bytes(tmp_path):
