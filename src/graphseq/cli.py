@@ -285,6 +285,9 @@ def cmd_rho(args) -> int:
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
     human = []
     for n in grids:
+        if args.exact and n > constants.EXACT_CHAIN_LIMIT:
+            print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
+                  f"n={n} uses the iterative solve", file=sys.stderr)
         est = constants.rho_bounds(n, pmf)
         am = constants.rho_amalgamated(n, pmf)
         if args.exact and est.mode == "exact-rational":
@@ -457,6 +460,9 @@ def cmd_verify(args) -> int:
         est = constants.rho_bounds(2, pmf)
         eq((est.lower, est.upper), (Fraction(65, 128), Fraction(93, 128)), "n=2 bounds")
         pmf16 = constants.area_pmf(16, "lazy", "dp", exact=False)
+        exact8 = constants.rho_bounds(8, constants.area_pmf(16, "lazy", "gf"))
+        b8 = constants.rho_bounds(8, pmf16)
+        assert b8.lower <= exact8.lower <= exact8.upper <= b8.upper, "n=8 bracket"
         b16 = constants.rho_bounds(16, pmf16)
         a16 = constants.rho_amalgamated(16, pmf16)
         assert b16.lower <= a16.lower <= b16.upper, "amalgamated outside bracket"

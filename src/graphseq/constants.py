@@ -150,12 +150,15 @@ class AreaPmf:
         return self.sign_mass - sum(self.p[1:])
 
 
-def _area_pmf_dp(K: int, kind: str, exact: bool):
+def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
     """First-passage DP: probability the excursion spends exactly i of area.
 
     States are (height >= 1, area spent); every transition adds the new
     height, so the area strictly increases and a single pass in area order
     suffices.  The first up-step carries the excursion's positivity weight.
+    A cell (t, h) only receives mass from area t - h, by an up, a flat and a
+    down step in that order, so each area is three vectorized adds across
+    heights.  Exact runs hold Fractions in object arrays.
     """
     if kind == "lazy":
         up, flat, down = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)) if exact else (
@@ -167,31 +170,19 @@ def _area_pmf_dp(K: int, kind: str, exact: bool):
         raise ValueError(f"unknown walk kind {kind!r}")
     hmax = int(math.isqrt(2 * K)) + 2
     zero = Fraction(0) if exact else LONG(0.0)
-    if exact:
-        live = [[zero] * (hmax + 2) for _ in range(K + 1)]
-    else:
-        live = np.zeros((K + 1, hmax + 2), dtype=LONG)
-    if K >= 1:
-        live[1][1] = up
-    out = [zero] * (K + 1)
+    live = np.full((K + 1, hmax + 2), zero, dtype=object if exact else LONG)
+    out = np.full(K + 1, zero, dtype=live.dtype)
+    live[1, 1] = up
+    heights = np.arange(1, hmax + 1)
     for a in range(1, K + 1):
-        row = live[a]
-        out[a] = row[1] * down
-        for h in range(1, hmax + 1):
-            m = row[h]
-            if not m:
-                continue
-            a_up = a + h + 1
-            if a_up <= K:
-                live[a_up][h + 1] += m * up
-            if flat:
-                a_flat = a + h
-                if a_flat <= K:
-                    live[a_flat][h] += m * flat
-            if h >= 2:
-                a_down = a + h - 1
-                if a_down <= K:
-                    live[a_down][h - 1] += m * down
+        out[a] = live[a, 1] * down
+        h = heights[: max(0, min(hmax, K - a - 1))]
+        live[a + h + 1, h + 1] += live[a, h] * up
+        if flat:
+            h = heights[: max(0, min(hmax, K - a))]
+            live[a + h, h] += live[a, h] * flat
+        h = heights[1 : max(0, min(hmax, K - a + 1))]
+        live[a + h - 1, h - 1] += live[a, h] * down
     return out
 
 
@@ -213,9 +204,7 @@ def area_pmf(K: int, kind: str = "lazy", method: str = "gf", exact: bool | None 
         if exact is None:
             exact = K <= 128
         weights = _area_pmf_dp(K, kind, exact)
-        if not exact:
-            weights = np.asarray(weights, dtype=LONG)
-        return AreaPmf(K, weights, kind, exact=exact)
+        return AreaPmf(K, weights.tolist() if exact else weights, kind, exact=exact)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -324,11 +313,39 @@ def chain_hitting_exact(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
     return {"zero": h_zero, "star": h_star}
 
 
-def _sweep_solve(kernel, rhs, diag, tol, amalg_extra=None):
+def _long_pmf(pmf: AreaPmf):
+    """(p, zero_mass, sign_mass) of a pmf as long doubles; p[0] is unused."""
+    if pmf.exact:
+        p = np.asarray([float(v) for v in pmf.p], dtype=LONG)
+    else:
+        p = np.asarray(pmf.p, dtype=LONG)
+    return p, LONG(float(pmf.zero_mass)), LONG(float(pmf.sign_mass))
+
+
+def _toeplitz_spectrum(p, m: int):
+    """rfft of the symmetric kernel p[|d|], 0 < |d| < m, as a circulant.
+
+    The circulant has the next power-of-two length >= 2m, so products with
+    vectors of length m do not wrap around.
+    """
+    size = 1 << (2 * m - 1).bit_length()
+    circulant = np.zeros(size, dtype=LONG)
+    circulant[1:m] = p[1:m]
+    circulant[size - m + 1 :] = p[m - 1 : 0 : -1]
+    return np.fft.rfft(circulant)
+
+
+def _toeplitz_product(spectrum, h):
+    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one rfft and one irfft."""
+    size = 2 * (len(spectrum) - 1)
+    return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[: len(h)]
+
+
+def _sweep_solve(spectrum, rhs, diag, tol, amalg_extra=None):
     h = np.zeros(len(rhs), dtype=LONG)
     m = len(rhs)
     for sweep in range(MAX_SWEEPS):
-        interior = np.convolve(h, kernel)[m - 1 : 2 * m - 1]
+        interior = _toeplitz_product(spectrum, h)
         if amalg_extra is not None:
             interior = interior + amalg_extra * h[m - 1]
         h_next = (rhs + interior) / diag
@@ -341,45 +358,57 @@ def _sweep_solve(kernel, rhs, diag, tol, amalg_extra=None):
     )
 
 
+def _sub_solution(h, p, rhs, diag):
+    """The first of h, h (1 - 2^-52), h (1 - 2^-48), ..., 0 with h <= F(h).
+
+    F(h) = (rhs + T h) / diag is evaluated by a direct long-double
+    convolution and must exceed h by gamma F(h) componentwise, gamma =
+    (m + 2) eps, which covers the rounding of the evaluation itself.  F is
+    monotone and contracting, so a sub-solution lies below its fixed point;
+    h = 0 always is one, so the back-off ends.
+    """
+    m = len(h)
+    gamma = (m + 2) * np.finfo(LONG).eps
+    kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=LONG), p[1:m]))
+    for scale in (1.0, *(1.0 - 2.0**-k for k in range(52, 0, -4))):
+        trial = h * LONG(scale)
+        image = (rhs + np.convolve(trial, kernel)[m - 1 : 2 * m - 1]) / diag
+        if np.all(image - trial >= gamma * image):
+            return trial
+    return np.zeros_like(h)
+
+
 def chain_hitting_iterative(
     n: int, pmf: AreaPmf, amalgamate: bool = False, tol: float = DEFAULT_SWEEP_TOL
 ) -> dict:
     """Hitting probabilities by diagonally-preconditioned Jacobi sweeps.
 
     The interior operator is Toeplitz (the step law only depends on j - i),
-    so one sweep is a single convolution.  The operator is non-negative and
-    the iteration starts from zero, so iterates increase monotonically toward
-    the solution: a truncated run still yields valid lower bounds.
+    so one sweep is one long-double FFT product with the circulant that
+    embeds it.  Returns {"zero": h[i -> 0], "minus": h[i -> '-'], "sweeps"}
+    for i = 1..n-1; amalgamated solves return only "zero".  Each
+    non-amalgamated vector is checked to be a sub-solution of its fixed-point
+    equation (and scaled toward zero until it is), so it lies below the true
+    hitting probabilities despite the rounding of the FFT sweeps.
     """
-    p = np.asarray(
-        [float(v) if isinstance(v, Fraction) else v for v in pmf.p], dtype=LONG
-    )
-    zero_mass = LONG(float(pmf.zero_mass)) if pmf.exact else pmf.zero_mass
-    sign = LONG(float(pmf.sign_mass)) if pmf.exact else pmf.sign_mass
+    p, zero_mass, sign = _long_pmf(pmf)
     m = n - 1
-    kernel = np.zeros(2 * m - 1, dtype=LONG)
-    for d in range(1, m):
-        kernel[m - 1 + d] = p[d]
-        kernel[m - 1 - d] = p[d]
-    b_zero = p[1:n].copy()
-    cum = np.cumsum(p[1:], dtype=LONG)
-    b_star = np.empty(m, dtype=LONG)
-    for i in range(1, n):
-        top = n - i - 1
-        b_star[i - 1] = sign - (cum[top - 1] if top >= 1 else LONG(0.0))
+    spectrum = _toeplitz_spectrum(p, m)
+    cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:n], dtype=LONG)))
+    b_zero = p[1:n]
+    b_minus = sign - cum[1:n]  # steps below -i from state i
     diag = LONG(1.0) - zero_mass
-    out = {}
     if amalgamate:
-        h_zero, sweeps = _sweep_solve(kernel, b_zero, diag, tol, amalg_extra=b_star)
-        out["zero"] = h_zero
-        out["sweeps"] = sweeps
-    else:
-        h_zero, s1 = _sweep_solve(kernel, b_zero, diag, tol)
-        h_star, s2 = _sweep_solve(kernel, b_star, diag, tol)
-        out["zero"] = h_zero
-        out["star"] = h_star
-        out["sweeps"] = s1 + s2
-    return out
+        b_star = sign - cum[m - 1 :: -1]  # steps of n - i or more from state i
+        h_zero, sweeps = _sweep_solve(spectrum, b_zero, diag, tol, amalg_extra=b_star)
+        return {"zero": h_zero, "sweeps": sweeps}
+    h_zero, s1 = _sweep_solve(spectrum, b_zero, diag, tol)
+    h_minus, s2 = _sweep_solve(spectrum, b_minus, diag, tol)
+    return {
+        "zero": _sub_solution(h_zero, p, b_zero, diag),
+        "minus": _sub_solution(h_minus, p, b_minus, diag),
+        "sweeps": s1 + s2,
+    }
 
 
 @dataclass
@@ -406,11 +435,22 @@ class RhoEstimate:
         return self.lower if self.mode == "amalgamated" else (self.lower + self.upper) / 2
 
 
+def _rounded(x, toward: float) -> float:
+    """A long double as a float, rounded toward -inf or +inf when inexact."""
+    out = float(x)
+    if (out > x) if toward < 0 else (out < x):
+        out = float(np.nextafter(out, toward))
+    return out
+
+
 def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstimate:
-    """Rigorous bounds: P(hit 0) <= rho <= P(hit 0) + P(hit *).
+    """Rigorous bounds: P(hit 0) <= rho <= 1 - P(hit '-').
 
     Positive tail mass is routed to '*' and negative tail mass to '-', which
-    can only widen the bracket, never invalidate it.
+    can only widen the bracket, never invalidate it.  The iterative path
+    takes both ends from checked sub-solutions, shaves each sum by its
+    rounding bound and rounds outward to float, so the bracket holds for the
+    chain that the given pmf values define.
     """
     ChainSpec(n, pmf)  # validates the grid/truncation contract
     if pmf.exact and n <= EXACT_CHAIN_LIMIT:
@@ -422,15 +462,14 @@ def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstim
         to_star = start_star + sum(pmf.p[j] * h["star"][j - 1] for j in range(1, n))
         return RhoEstimate(lower, lower + to_star, "exact-rational", n, pmf.K, pmf.kind)
     h = chain_hitting_iterative(n, pmf, tol=tol)
-    p = np.asarray(
-        [float(v) if isinstance(v, Fraction) else v for v in pmf.p], dtype=LONG
+    p, zero_mass, sign = _long_pmf(pmf)
+    shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
+    lower = (zero_mass + np.dot(p[1:n], h["zero"])) * shave
+    to_minus = (sign + np.dot(p[1:n], h["minus"])) * shave
+    return RhoEstimate(
+        _rounded(lower, -math.inf), _rounded(1 - to_minus, math.inf),
+        "iterative", n, pmf.K, pmf.kind,
     )
-    zero_mass = LONG(float(pmf.zero_mass)) if pmf.exact else pmf.zero_mass
-    sign = LONG(float(pmf.sign_mass)) if pmf.exact else pmf.sign_mass
-    lower = zero_mass + np.dot(p[1:n], h["zero"])
-    start_star = sign - np.sum(p[1:n])
-    to_star = start_star + np.dot(p[1:n], h["star"])
-    return RhoEstimate(float(lower), float(lower + to_star), "iterative", n, pmf.K, pmf.kind)
 
 
 def rho_amalgamated(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstimate:
@@ -447,11 +486,7 @@ def rho_amalgamated(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> Rho
         est = est + start_star * h["zero"][n - 2]
         return RhoEstimate(est, est, "amalgamated", n, pmf.K, pmf.kind)
     h = chain_hitting_iterative(n, pmf, amalgamate=True, tol=tol)
-    p = np.asarray(
-        [float(v) if isinstance(v, Fraction) else v for v in pmf.p], dtype=LONG
-    )
-    zero_mass = LONG(float(pmf.zero_mass)) if pmf.exact else pmf.zero_mass
-    sign = LONG(float(pmf.sign_mass)) if pmf.exact else pmf.sign_mass
+    p, zero_mass, sign = _long_pmf(pmf)
     est = zero_mass + np.dot(p[1:n], h["zero"])
     est = est + (sign - np.sum(p[1:n])) * h["zero"][n - 2]
     return RhoEstimate(float(est), float(est), "amalgamated", n, pmf.K, pmf.kind)

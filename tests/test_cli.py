@@ -86,6 +86,13 @@ def test_rho_exact_prints_worked_bounds(capsys):
     assert "9/16" in out and "non-rigorous" in out
 
 
+def test_rho_exact_notes_iterative_fallback(capsys):
+    assert run(["rho", "--grid", "4", "--grid", "40", "--exact"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "# exact solve needs n <= 8; n=40 uses the iterative solve\n"
+    assert "n=40: " in captured.out
+
+
 def test_rho_iterative_with_extrapolation(capsys):
     code = run([
         "rho", "--grid", "16", "--grid", "32",

@@ -132,6 +132,40 @@ def test_float_pmf_uses_extended_precision():
         assert abs(float(pmf.p[i]) - float(exact.p[i])) < 1e-17
 
 
+def _scalar_area_pmf_dp(K, kind):
+    """The cell-by-cell form of the first-passage DP, in long doubles."""
+    long = np.longdouble
+    up, flat, down = {"lazy": (0.25, 0.5, 0.25), "simple": (0.5, 0.0, 0.5)}[kind]
+    up, flat, down = long(up), long(flat), long(down)
+    hmax = math.isqrt(2 * K) + 2
+    live = np.zeros((K + 1, hmax + 2), dtype=long)
+    live[1][1] = up
+    out = np.zeros(K + 1, dtype=long)
+    for a in range(1, K + 1):
+        row = live[a]
+        out[a] = row[1] * down
+        for h in range(1, hmax + 1):
+            m = row[h]
+            if not m:
+                continue
+            if a + h + 1 <= K:
+                live[a + h + 1][h + 1] += m * up
+            if flat and a + h <= K:
+                live[a + h][h] += m * flat
+            if h >= 2 and a + h - 1 <= K:
+                live[a + h - 1][h - 1] += m * down
+    return out
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+def test_dp_matches_cell_by_cell_loop_bit_for_bit(kind):
+    for K in (1, 2, 3, 1024):
+        fast = float_pmf(K, kind).p
+        slow = _scalar_area_pmf_dp(K, kind)
+        assert fast.dtype == np.longdouble
+        assert np.array_equal(fast, slow)
+
+
 def test_area_pmf_rejects_bad_method():
     with pytest.raises(ValueError):
         area_pmf(5, "lazy", "bogus")
@@ -207,6 +241,58 @@ def test_iterative_matches_exact():
     am_exact = rho_amalgamated(8, pmf)
     am_iter = rho_amalgamated(8, floats)
     assert abs(float(am_exact.lower) - am_iter.lower) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+def test_iterative_bracket_contains_exact(kind):
+    # K = 16 keeps every weight dyadic, so both solves see the same chain
+    exact = rho_bounds(8, area_pmf(16, kind, "gf"))
+    iterative = rho_bounds(8, float_pmf(16, kind))
+    assert iterative.mode == "iterative"
+    assert iterative.lower <= exact.lower <= exact.upper <= iterative.upper
+    assert float(exact.lower) - iterative.lower < 1e-12
+    assert iterative.upper - float(exact.upper) < 1e-12
+
+
+def test_rho_bounds_iterative_single_transient_state():
+    est = rho_bounds(2, float_pmf(2, "lazy"))
+    assert est.mode == "iterative"
+    assert est.lower <= F(65, 128) <= F(93, 128) <= est.upper
+    assert F(65, 128) - F(est.lower) < 1e-15
+    assert F(est.upper) - F(93, 128) < 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 1023])
+def test_fft_product_matches_direct_convolution(m):
+    p = float_pmf(max(m, 2), "lazy").p
+    h = np.random.default_rng(m).random(m).astype(np.longdouble)
+    kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
+    direct = np.convolve(h, kernel)[m - 1 : 2 * m - 1]
+    fast = constants._toeplitz_product(constants._toeplitz_spectrum(p, m), h)
+    assert fast.dtype == np.longdouble
+    assert float(np.max(np.abs(fast - direct))) <= 1e-17
+
+
+def test_sub_solution_check_backs_off_an_over_estimate():
+    n = 64
+    pmf = float_pmf(n, "lazy")
+    p = pmf.p
+    m = n - 1
+    rhs = p[1:n].copy()
+    diag = 1 - pmf.zero_mass
+    converged = chain_hitting_iterative(n, pmf)["zero"]
+    over = converged * np.longdouble(1 + 1e-9)
+    kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
+
+    def image(h):
+        return (rhs + np.convolve(h, kernel)[m - 1 : 2 * m - 1]) / diag
+
+    assert not np.all(over <= image(over))
+    checked = constants._sub_solution(over, p, rhs, diag)
+    assert np.all(checked <= image(checked))
+    assert np.all(checked < over)
+    assert float(np.max(converged - checked)) < 1e-7
+    assert np.array_equal(constants._sub_solution(converged, p, rhs, diag), converged)
 
 
 def test_lower_bounds_nondecreasing_in_grid():
