@@ -16,6 +16,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,9 +34,10 @@ DEFAULT_EXTRAPOLATION_GRIDS = (1024, 2048, 4096)
 # output formats and the results store
 
 
-def bfile_lines(rows) -> list:
+def bfile_lines(rows) -> Iterator[str]:
     """OEIS b-file: one ascii 'n value' pair per line, increasing n."""
-    return [f"{n} {value}" for n, value in rows]
+    for n, value in rows:
+        yield f"{n} {value}"
 
 
 def parse_bfile(text: str) -> list:
@@ -49,15 +51,14 @@ def parse_bfile(text: str) -> list:
     return rows
 
 
-def csv_lines(rows) -> list:
+def csv_lines(rows) -> Iterator[str]:
     """CSV with header n,G,H,ratio; ratio is G(n)/G(n-1), blank at n = 1."""
-    out = ["n,G,H,ratio"]
+    yield "n,G,H,ratio"
     prev_g = None
     for n, g, h in rows:
         ratio = "" if not prev_g else f"{g / prev_g:.6f}"
-        out.append(f"{n},{g},{h},{ratio}")
+        yield f"{n},{g},{h},{ratio}"
         prev_g = g
-    return out
 
 
 def parse_csv_counts(text: str) -> list:
@@ -143,26 +144,19 @@ def cmd_count(args) -> int:
         if want_h
         else None
     )
-    lines_out = []
-    prev_g = None
-    header_done = False
-    try:
+
+    def rows():
         for n, g, layer in even:
-            if want_h:
-                _, h, _ = next(odd)
-                if not header_done:
-                    lines_out.append("n,G,H,ratio")
-                    print(lines_out[-1])
-                    header_done = True
-                ratio = "" if not prev_g else f"{g / prev_g:.6f}"
-                line = f"{n},{g},{h},{ratio}"
-                prev_g = g
-            else:
-                line = f"{n} {g}"
-            lines_out.append(line)
-            print(line, flush=True)
+            yield (n, g, next(odd)[1]) if want_h else (n, g)
+            # runs once the row's line is printed, as the consumer asks for the next
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, _checkpoint_dir(args))
+
+    lines_out = []
+    try:
+        for line in (csv_lines if want_h else bfile_lines)(rows()):
+            lines_out.append(line)
+            print(line, flush=True)
     except engine.MemoryBudgetExceeded as exc:
         path = _save_checkpoint(exc.layer, _checkpoint_dir(args))
         print(
@@ -198,7 +192,7 @@ def cmd_count_ondemand(args) -> int:
         rows = engine.extend_counts(ckpt, args.target_n, memory_limit=args.memory_limit)
     except engine.MemoryBudgetExceeded as exc:
         return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
-    lines = bfile_lines(rows)
+    lines = list(bfile_lines(rows))
     _emit(lines, store, "results.bfile", "count-ondemand",
           {"checkpoint": str(args.checkpoint), "target_n": args.target_n})
     return EXIT_OK
@@ -284,12 +278,15 @@ def cmd_rho(args) -> int:
     pmf = _pmf_for(args.kind, order, args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
     human = []
+    # one amalgamated solve per grid, also for a grid that is extrapolated over
+    amalgamated = {n: constants.rho_amalgamated(n, pmf)
+                   for n in dict.fromkeys(grids + extrapolate)}
     for n in grids:
         if args.exact and n > constants.EXACT_CHAIN_LIMIT:
             print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
                   f"n={n} uses the iterative solve", file=sys.stderr)
         est = constants.rho_bounds(n, pmf)
-        am = constants.rho_amalgamated(n, pmf)
+        am = amalgamated[n]
         if args.exact and est.mode == "exact-rational":
             human.append(f"{est.lower} ≤ rho ≤ {est.upper}")
             human.append(f"amalgamated estimate {am.lower} (non-rigorous)")
@@ -302,7 +299,7 @@ def cmd_rho(args) -> int:
             lines.append(f"{n},{order},{est.lower:.12f},{est.upper:.12f},{am.lower:.12f},")
     extrapolated = None
     if extrapolate:
-        pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in extrapolate]
+        pts = [(n, amalgamated[n].lower) for n in extrapolate]
         extrapolated = constants.richardson(pts)
         human.append(f"richardson over {extrapolate}: {extrapolated:.12f} (non-rigorous)")
         lines.append(f"{extrapolate[-1]},{order},,,,{extrapolated:.12f}")
@@ -404,8 +401,8 @@ def cmd_verify(args) -> int:
             engine.Checkpoint.of(layer).save(path)
             back = engine.Checkpoint.load(path)
         eq(back.layer, layer, "checkpoint roundtrip")
-        eq(engine.extend_on_demand(back, 9),
-           engine.count_graphic(10, engine.Parity.ODD), "on-demand extension")
+        eq(engine.extend_counts(back, 10)[-1],
+           (10, engine.count_graphic(10, engine.Parity.ODD)), "on-demand extension")
 
     def checkpoint_damage():
         with tempfile.TemporaryDirectory() as tmp:
@@ -607,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-ondemand", help="extend counts from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target-n", type=int, required=True)
-    p.add_argument("--memory-limit", type=int, default=None)
+    p.add_argument("--memory-limit", type=int, default=None,
+                   help="byte ceiling, the loaded checkpoint included; on breach exit 3")
     p.set_defaults(func=cmd_count_ondemand)
 
     p = sub.add_parser("oracle", help="brute-force tables and cross-checks")

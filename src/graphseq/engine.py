@@ -24,13 +24,17 @@ Above the stabilization cap the counts are periodic in the area with period
 two, so a band keeps exactly two representative values at the cap.  A
 checkpoint stores those same limb blocks raw, so saving and loading a layer
 is a copy, not a conversion.
+
+One recurrence serves both callers.  ``stream_counts`` advances
+complete layers from depth 0; ``extend_counts`` advances a checkpointed layer
+with the same ``advance``, restricted to the dependence cone of its largest
+target, the only cells that target reads.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -116,14 +120,17 @@ def _limbs_to_int(limbs: np.ndarray) -> int:
 
 
 class Band:
-    """Counts for one height: a dense area band [lo, cap+1] of limb vectors."""
+    """Counts for one height: a dense area band [lo, hi] of limb vectors.
+
+    hi is cap + 1 in a complete layer; a cone layer may cut it lower.
+    """
 
     __slots__ = ("lo", "cap", "limbs")
 
     def __init__(self, lo: int, cap: int, limbs: np.ndarray):
         self.lo = lo
         self.cap = cap
-        self.limbs = limbs  # shape (cap + 2 - lo, nlimbs), int64
+        self.limbs = limbs  # shape (hi + 1 - lo, nlimbs), int64
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,25 +172,45 @@ class Layer:
         return sum(band.limbs.nbytes for band in self.bands.values())
 
 
+def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
+    """(y, lo, cap, hi) of each band at `depth`, in increasing height.
+
+    A band stores the areas lo..hi.  With no horizon the layer is complete:
+    every reachable height, hi = cap + 1.  With a horizon H only the cells
+    that F(H, 0, 0) reads are kept: k = H - depth steps back from the origin
+    reach |y| <= k and areas up to k(k+1)/2, and a band empty on that range
+    is dropped.  The cone of H holds the cone of every H' < H, since the flat
+    step links (depth, 0, 0) to (depth - 1, 0, 0).
+    """
+    ylo, yhi, amax = -depth - 1, depth, None
+    if horizon is not None:
+        k = horizon - depth
+        ylo, yhi, amax = max(ylo, -k), min(yhi, k), k * (k + 1) // 2
+    for y in range(ylo, yhi + 1):
+        lo = area_floor(y)
+        cap = max(0, decrease_cap(depth, y))
+        hi = cap + 1 if amax is None else min(cap + 1, amax)
+        if lo <= hi:
+            yield y, lo, cap, hi
+
+
 def initial_layer(parity: Parity) -> Layer:
     """Depth-0 layer: F(0, y, a) = 1 iff y in {0,-1}, a >= 0, a of `parity`."""
     parity = Parity(parity)
     bands = {}
-    for y in (-1, 0):
-        cap = max(0, decrease_cap(0, y))
-        limbs = np.zeros((cap + 2, _nlimbs(0)), dtype=np.int64)
-        for a in range(cap + 2):
-            if (a & 1) == parity:
-                limbs[a, 0] = 1
-        bands[y] = Band(0, cap, limbs)
+    for y, lo, cap, hi in _band_geometry(0):
+        limbs = np.zeros((hi + 1 - lo, _nlimbs(0)), dtype=np.int64)
+        limbs[(parity - lo) % 2 :: 2, 0] = 1  # areas of the starting parity
+        bands[y] = Band(lo, cap, limbs)
     return Layer(0, parity, bands)
 
 
 def _read_band_range(bands: dict, y: int, start: int, stop: int, nl: int) -> np.ndarray:
     """Values F(y, a) for a in [start, stop) as a (stop - start, nl) array.
 
-    Reads below the band are zero (boundary / floor pruning), reads above the
-    band repeat the two cap representatives by area parity.
+    Reads below the band are zero (boundary / floor pruning).  Reads above a
+    full band, one stored up to cap + 1, repeat the two cap representatives
+    by area parity; a cone band is never read above its stored rows.
     """
     out = np.zeros((stop - start, nl), dtype=np.int64)
     band = bands.get(y)
@@ -192,11 +219,12 @@ def _read_band_range(bands: dict, y: int, start: int, stop: int, nl: int) -> np.
     lo, cap = band.lo, band.cap
     src = band.limbs
     snl = src.shape[1]
+    end = lo + src.shape[0]  # one past the last stored area
     d0 = max(start, lo)
-    d1 = min(stop, cap + 2)
+    d1 = min(stop, end)
     if d0 < d1:
         out[d0 - start : d1 - start, :snl] = src[d0 - lo : d1 - lo]
-    if stop > cap + 2:
+    if stop > end == cap + 2:
         t0 = max(start, cap + 2)
         first_even = t0 + ((cap - t0) & 1)  # first a >= t0 with a - cap even
         first_odd = t0 + ((cap + 1 - t0) & 1)
@@ -218,10 +246,7 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
         arr[:, 1:] += carry[:, :-1]
 
 
-def _advance_band(parent_bands: dict, depth: int, y: int, nl: int) -> Band:
-    lo = area_floor(y)
-    cap = max(0, decrease_cap(depth, y))
-    hi = cap + 1
+def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int, nl: int) -> Band:
     up = _read_band_range(parent_bands, y + 1, lo + y + 1, hi + y + 2, nl)
     down = _read_band_range(parent_bands, y - 1, lo + y - 1, hi + y, nl)
     flat = _read_band_range(parent_bands, y, lo + y, hi + y + 1, nl)
@@ -229,22 +254,49 @@ def _advance_band(parent_bands: dict, depth: int, y: int, nl: int) -> Band:
     return Band(lo, cap, _carry_normalize(total))
 
 
-def advance(layer: Layer) -> Layer:
-    """Produce the layer one depth further, reading the parent only."""
+def advance(layer: Layer, horizon: int | None = None) -> Layer:
+    """Produce the layer one depth further, reading the parent only.
+
+    With a horizon the new layer holds only the cone of (horizon, 0, 0); the
+    parent must then be complete or the cone of the same horizon.
+    """
     depth = layer.depth + 1
     nl = _nlimbs(depth)
     bands = {
-        y: _advance_band(layer.bands, depth, y, nl) for y in range(-depth - 1, depth + 1)
+        y: _advance_band(layer.bands, y, lo, cap, hi, nl)
+        for y, lo, cap, hi in _band_geometry(depth, horizon)
     }
     return Layer(depth, layer.parity, bands)
 
 
-def _estimate_layer_bytes(depth: int) -> int:
-    nl = _nlimbs(depth)
-    cells = 0
-    for y in range(-depth - 1, depth + 1):
-        cells += max(0, decrease_cap(depth, y)) + 2 - area_floor(y)
-    return cells * nl * 8
+def _estimate_layer_bytes(depth: int, horizon: int | None = None) -> int:
+    cells = sum(hi + 1 - lo for _, lo, _, hi in _band_geometry(depth, horizon))
+    return cells * _nlimbs(depth) * 8
+
+
+def _advance_layers(
+    layer: Layer,
+    last_depth: int,
+    horizon: int | None,
+    memory_limit: int | None,
+    kept: Layer | None = None,
+) -> Iterator[Layer]:
+    """Yield the layers after `layer` up to `last_depth`.
+
+    Before each advance the transient footprint, parent plus estimated child
+    plus ``kept`` (a layer the caller holds throughout, counted once), is
+    checked against ``memory_limit``; past it, MemoryBudgetExceeded carries
+    the parent.
+    """
+    for depth in range(layer.depth + 1, last_depth + 1):
+        if memory_limit is not None:
+            needed = layer.nbytes + _estimate_layer_bytes(depth, horizon)
+            if kept is not None and kept is not layer:
+                needed += kept.nbytes
+            if needed > memory_limit:
+                raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
+        layer = advance(layer, horizon)
+        yield layer
 
 
 def stream_counts(
@@ -263,14 +315,8 @@ def stream_counts(
         raise ValueError("max_n must be >= 1")
     layer = initial_layer(parity)
     yield 1, layer.value(0, 0), layer
-    for n in range(2, max_n + 1):
-        depth = n - 1
-        if memory_limit is not None:
-            needed = layer.nbytes + _estimate_layer_bytes(depth)
-            if needed > memory_limit:
-                raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
-        layer = advance(layer)
-        yield n, layer.value(0, 0), layer
+    for layer in _advance_layers(layer, max_n - 1, None, memory_limit):
+        yield layer.depth + 1, layer.value(0, 0), layer
 
 
 def count_graphic(n: int, parity: Parity = Parity.EVEN) -> int:
@@ -357,12 +403,12 @@ class Checkpoint:
                     or nl != _nlimbs(depth):
                 raise CheckpointFormatError("header disagrees with the layer geometry")
             bands = {}
-            for y in range(-depth - 1, depth + 1):
+            for y, lo, cap, hi in _band_geometry(depth):
                 record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
-                got_y, lo, cap = _CKPT_BAND.unpack(record)
-                if (got_y, lo, cap) != (y, area_floor(y), max(0, decrease_cap(depth, y))):
-                    raise CheckpointFormatError(f"band {got_y} disagrees with the layer geometry")
-                limbs = np.empty((cap + 2 - lo, nl), dtype="<i8")
+                got = _CKPT_BAND.unpack(record)
+                if got != (y, lo, cap):
+                    raise CheckpointFormatError(f"band {got[0]} disagrees with the layer geometry")
+                limbs = np.empty((hi + 1 - lo, nl), dtype="<i8")
                 raw = memoryview(limbs).cast("B")
                 if fh.readinto(raw) != len(raw):
                     raise CheckpointFormatError("checkpoint is truncated")
@@ -385,68 +431,20 @@ def extend_counts(
 ) -> list:
     """(n, count) for every n beyond the checkpoint up to max_n.
 
-    One top-down pass to the largest target fills the memo with every
-    intermediate (depth, 0, 0) cell along the way (the flat step always links
-    consecutive depths at the origin), so streaming costs no extra work.
+    The checkpointed layer advances to depth max_n - 1 over the dependence
+    cone of (max_n - 1, 0, 0) only.  That cone holds the origin cell of every
+    depth on the way, so one pass yields every row.  The cone layers stay
+    inside this call.  ``memory_limit`` covers the checkpoint's layer, which
+    stays alive throughout, plus the two cone layers in flight; on
+    MemoryBudgetExceeded the exception carries the checkpoint's own layer.
     """
-    base_depth = checkpoint.depth
-    if max_n < base_depth + 2:
-        raise ValueError("max_n must exceed the checkpoint's n")
-    value, memo = _extend(checkpoint, max_n - 1, memory_limit)
-    out = []
-    for n in range(base_depth + 2, max_n):
-        out.append((n, memo[(n - 1, 0, 0)]))
-    out.append((max_n, value))
-    return out
-
-
-def extend_on_demand(
-    checkpoint: Checkpoint, target_depth: int, memory_limit: int | None = None
-) -> int:
-    """F(target_depth, 0, 0) by memoized top-down recursion over the checkpoint.
-
-    Only cells inside the dependence cone of (target_depth, 0, 0) are ever
-    materialized, and areas at or above the stabilization cap are folded onto
-    the two cap representatives before memoization, which keeps the map small
-    when the target is not far beyond the checkpoint.
-    """
-    value, _ = _extend(checkpoint, target_depth, memory_limit)
-    return value
-
-
-def _extend(
-    checkpoint: Checkpoint, target_depth: int, memory_limit: int | None = None
-) -> tuple:
     base = checkpoint.layer
-    if target_depth <= base.depth:
-        raise ValueError("target depth must exceed the checkpoint depth")
-    memo: dict = {}
-    # a memo cell costs roughly a key tuple plus a count of ~depth/4 digits
-    cell_bytes = 120 + target_depth // 2
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * (target_depth - base.depth) + 1000))
-
-    def walk_count(depth: int, y: int, a: int) -> int:
-        if a < 0 or y > depth or y < -depth - 1:
-            return 0
-        if y < 0 and a < area_floor(y):
-            return 0
-        if depth == base.depth:
-            return base.value(y, a)
-        cap = max(0, decrease_cap(depth, y))
-        if a > cap + 1:
-            a = cap + ((a - cap) & 1)
-        key = (depth, y, a)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        value = (
-            walk_count(depth - 1, y + 1, a + y + 1)
-            + walk_count(depth - 1, y - 1, a + y - 1)
-            + 2 * walk_count(depth - 1, y, a + y)
-        )
-        memo[key] = value
-        if memory_limit is not None and len(memo) * cell_bytes > memory_limit:
-            raise MemoryBudgetExceeded(depth, base, len(memo) * cell_bytes, memory_limit)
-        return value
-
-    return walk_count(target_depth, 0, 0), memo
+    if max_n < base.depth + 2:
+        raise ValueError("max_n must exceed the checkpoint's n")
+    try:
+        return [
+            (layer.depth + 1, layer.value(0, 0))
+            for layer in _advance_layers(base, max_n - 1, max_n - 1, memory_limit, base)
+        ]
+    except MemoryBudgetExceeded as exc:
+        raise MemoryBudgetExceeded(exc.depth, base, exc.needed, exc.budget) from None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graphseq import cli, engine
+from graphseq import cli, constants, engine
 from graphseq.cli import (
     EXIT_BAD_ARGS,
     EXIT_MEMORY_CHECKPOINT,
@@ -101,6 +101,26 @@ def test_rho_iterative_with_extrapolation(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "rho" in out and "richardson" in out
+
+
+def test_rho_solves_each_amalgamated_grid_once(monkeypatch, capsys):
+    calls = []
+    solve = constants.chain_hitting_iterative
+
+    def spy(n, pmf, amalgamate=False, **kwargs):
+        calls.append((n, amalgamate))
+        return solve(n, pmf, amalgamate, **kwargs)
+
+    monkeypatch.setattr(constants, "chain_hitting_iterative", spy)
+    assert run(["rho", "--grid", "64", "--extrapolate", "16,32,64"]) == EXIT_OK
+    assert sorted(calls) == [(16, True), (32, True), (64, False), (64, True)]
+    monkeypatch.undo()
+    pmf = constants.area_pmf(64, "lazy", "dp", exact=False)
+    pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in (16, 32, 64)]
+    lines = capsys.readouterr().out.splitlines()
+    assert f"(amalgamated {pts[2][1]:.10f}, non-rigorous)" in lines[0]
+    assert lines[1] == (f"richardson over [16, 32, 64]: "
+                        f"{constants.richardson(pts):.12f} (non-rigorous)")
 
 
 def test_memory_limit_checkpoints_and_exit_three(tmp_path, capsys):

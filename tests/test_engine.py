@@ -1,6 +1,7 @@
 """Layer recursion: initial condition, advances, caps, checkpoints, extension."""
 
 import os
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,6 @@ from graphseq.engine import (
     count_graphic,
     decrease_cap,
     extend_counts,
-    extend_on_demand,
     initial_layer,
     stream_counts,
 )
@@ -276,12 +276,12 @@ def test_checkpoint_magic_bytes(tmp_path):
 
 def test_extend_from_depth10_matches_full():
     ckpt = Checkpoint.of(layer_at(10))
-    assert extend_on_demand(ckpt, 12) == count_graphic(13)
+    assert extend_counts(ckpt, 13)[-1] == (13, count_graphic(13))
 
 
 def test_extend_from_initial_layers():
-    assert extend_on_demand(Checkpoint.of(initial_layer(Parity.EVEN)), 2) == 4
-    assert extend_on_demand(Checkpoint.of(initial_layer(Parity.ODD)), 2) == 1
+    assert extend_counts(Checkpoint.of(initial_layer(Parity.EVEN)), 3)[-1] == (3, 4)
+    assert extend_counts(Checkpoint.of(initial_layer(Parity.ODD)), 3)[-1] == (3, 1)
 
 
 def test_extend_counts_stream():
@@ -290,16 +290,53 @@ def test_extend_counts_stream():
     assert rows == [(n, count_graphic(n)) for n in range(8, 13)]
 
 
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_extend_counts_equals_stream_counts(parity, tmp_path):
+    streamed = [(n, v) for n, v, _ in stream_counts(40, parity)]
+    assert extend_counts(Checkpoint.of(initial_layer(parity)), 40) == streamed[1:]
+    path = tmp_path / "depth6.ckpt"
+    Checkpoint.of(layer_at(6, parity)).save(path)
+    assert extend_counts(Checkpoint.load(path), 30) == streamed[7:30]
+
+
+def test_extend_counts_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    rows = extend_counts(Checkpoint.of(layer_at(3)), 200)
+    assert sys.getrecursionlimit() == limit
+    assert [n for n, _ in rows] == list(range(5, 201))
+
+
 def test_extend_rejects_backward_target():
     ckpt = Checkpoint.of(layer_at(5))
     with pytest.raises(ValueError):
-        extend_on_demand(ckpt, 5)
+        extend_counts(ckpt, 6)
 
 
 def test_extend_memory_budget():
     ckpt = Checkpoint.of(initial_layer(Parity.EVEN))
-    with pytest.raises(MemoryBudgetExceeded):
-        extend_on_demand(ckpt, 60, memory_limit=1000)
+    with pytest.raises(MemoryBudgetExceeded) as info:
+        extend_counts(ckpt, 61, memory_limit=1000)
+    # the cone layers stay inside the call: the exception carries the checkpoint
+    assert info.value.layer is ckpt.layer
+    assert info.value.needed > info.value.budget == 1000
+
+
+def test_extend_budget_counts_the_checkpoint_on_every_step():
+    # the checkpoint stays alive: past the first step the process holds it,
+    # the cone parent and the cone child at once
+    ckpt = Checkpoint.of(layer_at(12))
+    max_n = 30
+    parent, peak = ckpt.layer, 0
+    for _ in range(ckpt.depth + 1, max_n):
+        child = advance(parent, max_n - 1)
+        kept = 0 if parent is ckpt.layer else ckpt.layer.nbytes
+        peak = max(peak, kept + parent.nbytes + child.nbytes)
+        parent = child
+    assert extend_counts(ckpt, max_n, memory_limit=peak) == extend_counts(ckpt, max_n)
+    with pytest.raises(MemoryBudgetExceeded) as info:
+        extend_counts(ckpt, max_n, memory_limit=peak - 1)
+    assert info.value.layer is ckpt.layer
+    assert info.value.needed == peak
 
 
 # ---------------------------------------------------------------------------
