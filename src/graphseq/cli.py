@@ -454,6 +454,7 @@ def cmd_verify(args) -> int:
         h = constants.chain_hitting_exact(2, pmf)
         eq(h["zero"][0], Fraction(1, 8), "h10")
         eq(h["star"][0], Fraction(1, 2), "h1*")
+        eq(h["zero"][0] + h["minus"][0] + h["star"][0], 1, "hitting row sum")
         est = constants.rho_bounds(2, pmf)
         eq((est.lower, est.upper), (Fraction(65, 128), Fraction(93, 128)), "n=2 bounds")
         pmf16 = constants.area_pmf(16, "lazy", "dp", exact=False)
@@ -555,6 +556,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _ballot_size(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= oracle.BALLOT_LIMIT:
+        raise argparse.ArgumentTypeError(f"must lie in 0..{oracle.BALLOT_LIMIT}, got {value}")
+    return value
+
+
 def _grid_size(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -595,16 +603,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="stream exact counts while advancing layers")
     p.add_argument("--max-n", type=_positive_int, required=True)
     p.add_argument("--format", choices=("bfile", "csv"), default="bfile")
-    p.add_argument("--memory-limit", type=int, default=None,
+    p.add_argument("--memory-limit", type=_positive_int, default=None,
                    help="byte ceiling; on breach checkpoint and exit 3")
-    p.add_argument("--checkpoint-every", type=int, default=None, metavar="DEPTH")
+    p.add_argument("--checkpoint-every", type=_positive_int, default=None, metavar="DEPTH")
     p.add_argument("--checkpoint-dir", default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("count-ondemand", help="extend counts from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target-n", type=int, required=True)
-    p.add_argument("--memory-limit", type=int, default=None,
+    p.add_argument("--memory-limit", type=_positive_int, default=None,
                    help="byte ceiling, the loaded checkpoint included; on breach exit 3")
     p.set_defaults(func=cmd_count_ondemand)
 
@@ -612,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--cross-check", action="store_true", default=True)
     p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
-    p.add_argument("--ballot", type=int, default=0, metavar="N",
+    p.add_argument("--ballot", type=_ballot_size, default=0, metavar="N",
                    help="also report ballot counts up to this n")
     p.add_argument("--ballot-vectors", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

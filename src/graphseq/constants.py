@@ -9,10 +9,13 @@ satisfying
 and every substituted term has strictly higher x-degree, so the truncation to
 any x-order is computed exactly.  Summing signed excursion areas gives a
 heavy-tailed walk; rho is the probability that this walk returns to zero
-before going negative, obtained here by solving an absorbing chain on
-{-, 0, 1, ..., n-1, *} with rigorous lower/upper bounds and a Richardson
-extrapolation of the estimates in 1/n.  The leading constant of the graphic
-sequence count is then Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
+before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
+one step law and one set of landing masses, has two solvers: exact rational
+elimination for small grids, long-double FFT sweeps for large ones.  Both
+return P(hit 0) and P(hit '-'), which bracket rho as P(hit 0) <= rho <=
+1 - P(hit '-'); Richardson extrapolation in 1/n refines the estimates.  The
+leading constant of the graphic sequence count is then
+Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
 The simple +/-1 walk admits the same treatment without the flat-step term:
 g_s(x, y) = x y^2 / (4 (1 - g_s(x, x y))); its excursion-area law feeds the
@@ -40,9 +43,27 @@ EXACT_CHAIN_LIMIT = 8
 DEFAULT_SWEEP_TOL = 1e-12
 MAX_SWEEPS = 200_000
 
+#: kind -> (up, flat, down) probabilities of one step of the walk.
+STEP_LAW = {
+    "lazy": (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
+    "simple": (Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+}
+
 
 class ChainConvergenceError(Exception):
     """The hitting-probability sweep did not reach the residual target."""
+
+
+def _step_law(kind: str) -> tuple:
+    try:
+        return STEP_LAW[kind]
+    except KeyError:
+        raise ValueError(f"unknown walk kind {kind!r}") from None
+
+
+def _long(v: Fraction):
+    """A Fraction as a long double, rounding once for dyadic values."""
+    return LONG(v.numerator) / LONG(v.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +104,8 @@ def series_g(K: int, kind: str = "lazy") -> TruncatedSeries:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if kind == "lazy":
-        seed = Fraction(1, 16)
-        flat = True
-    elif kind == "simple":
-        seed = Fraction(1, 4)
-        flat = False
-    else:
-        raise ValueError(f"unknown walk kind {kind!r}")
+    up, flat, down = _step_law(kind)
+    seed = up * down
 
     # per_x[i] : dict j -> Fraction
     per_x = [dict() for _ in range(K + 1)]
@@ -100,7 +115,7 @@ def series_g(K: int, kind: str = "lazy") -> TruncatedSeries:
             acc[2] = seed
         if flat:
             for j, c in per_x[i - 1].items():
-                acc[j + 1] = acc.get(j + 1, Fraction(0)) + c / 2
+                acc[j + 1] = acc.get(j + 1, Fraction(0)) + c * flat
         for p in range(1, i - 2):
             q = i - p
             # [x^q] g(x, xy) = sum_j coefficient(q - j, j) y^j
@@ -135,15 +150,13 @@ class AreaPmf:
 
     @property
     def sign_mass(self):
-        if self.exact:
-            return Fraction(1, 4) if self.kind == "lazy" else Fraction(1, 2)
-        return LONG(0.25) if self.kind == "lazy" else LONG(0.5)
+        up = _step_law(self.kind)[0]
+        return up if self.exact else _long(up)
 
     @property
     def zero_mass(self):
-        if self.exact:
-            return Fraction(1, 2) if self.kind == "lazy" else Fraction(0)
-        return LONG(0.5) if self.kind == "lazy" else LONG(0.0)
+        flat = _step_law(self.kind)[1]
+        return flat if self.exact else _long(flat)
 
     @property
     def pos_tail(self):
@@ -160,14 +173,7 @@ def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
     down step in that order, so each area is three vectorized adds across
     heights.  Exact runs hold Fractions in object arrays.
     """
-    if kind == "lazy":
-        up, flat, down = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)) if exact else (
-            LONG(0.25), LONG(0.5), LONG(0.25))
-    elif kind == "simple":
-        up, flat, down = (Fraction(1, 2), Fraction(0), Fraction(1, 2)) if exact else (
-            LONG(0.5), LONG(0.0), LONG(0.5))
-    else:
-        raise ValueError(f"unknown walk kind {kind!r}")
+    up, flat, down = (v if exact else _long(v) for v in _step_law(kind))
     hmax = int(math.isqrt(2 * K)) + 2
     zero = Fraction(0) if exact else LONG(0.0)
     live = np.full((K + 1, hmax + 2), zero, dtype=object if exact else LONG)
@@ -212,6 +218,30 @@ def area_pmf(K: int, kind: str = "lazy", method: str = "gf", exact: bool | None 
 # the absorbing chain
 
 
+def _pmf_arrays(pmf: AreaPmf, exact: bool = False):
+    """(p, zero_mass, sign_mass) of a pmf; p[0] is unused.
+
+    Long doubles, each exact weight rounded once, or with `exact` the
+    Fractions of an exact pmf in an object array.
+    """
+    up, flat, _ = _step_law(pmf.kind)
+    if exact:
+        return np.array(pmf.p, dtype=object), flat, up
+    p = [_long(v) for v in pmf.p] if pmf.exact else pmf.p
+    return np.asarray(p, dtype=LONG), _long(flat), _long(up)
+
+
+def _landing_masses(n: int, p, sign):
+    """(b_minus, b_star): one-step masses into '-' and '*' from states 0..n-1.
+
+    A step below -i lands in '-' and one of n - i or more in '*', so with
+    cum[i] = p[1] + .. + p[i], b_minus[i] = sign - cum[i] and b_star[i] =
+    sign - cum[n - 1 - i].  Long doubles, or Fractions in object arrays.
+    """
+    cum = np.concatenate((np.zeros(1, dtype=p.dtype), np.cumsum(p[1:n])))
+    return sign - cum, sign - cum[::-1]
+
+
 @dataclass
 class ChainSpec:
     """Absorbing chain on {-, 0, 1, ..., n-1, *} driven by signed area steps.
@@ -231,48 +261,24 @@ class ChainSpec:
         if self.pmf.K < self.n:
             raise ValueError("need K >= n so no interior mass is reassigned")
 
-    @property
-    def states(self) -> tuple:
-        return ("-",) + tuple(range(self.n)) + ("*",)
-
     def transition_matrix(self) -> list:
         """Dense exact matrix over ('-', 0, .., n-1, '*'); rows sum to 1."""
         if not self.pmf.exact:
             raise ValueError("dense matrix requires an exact pmf")
-        n, p = self.n, self.pmf.p
-        sign, zero_mass = self.pmf.sign_mass, self.pmf.zero_mass
-        size = n + 2
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        rows[0][0] = Fraction(1)
-        rows[size - 1][size - 1] = Fraction(1)
-        for i in range(0, n):
-            r = rows[i + 1]
-            below = sign - sum(p[1 : i + 1])        # steps < -i
-            above = sign - sum(p[1 : n - i])        # steps >= n - i
-            r[0] = below
-            r[size - 1] = above
-            r[i + 1] += zero_mass
-            for j in range(0, n):
-                d = abs(j - i)
-                if d >= 1:
-                    r[j + 1] += p[d]
-        return rows
-
-
-def _landing_vectors(n: int, pmf: AreaPmf):
-    """(to-zero, to-star, from-start) landing masses for transient states 1..n-1."""
-    p = pmf.p
-    sign = pmf.sign_mass
-    b_zero = [p[i] for i in range(1, n)]
-    b_star = [sign - sum(p[1 : n - i]) for i in range(1, n)]
-    start_star = sign - sum(p[1:n])
-    return b_zero, b_star, start_star
+        n = self.n
+        p, zero_mass, sign = _pmf_arrays(self.pmf, exact=True)
+        b_minus, b_star = _landing_masses(n, p, sign)
+        rows = [[Fraction(1)] + [Fraction(0)] * (n + 1)]
+        for i in range(n):
+            interior = [zero_mass if j == i else p[abs(j - i)] for j in range(n)]
+            rows.append([b_minus[i]] + interior + [b_star[i]])
+        return rows + [[Fraction(0)] * (n + 1) + [Fraction(1)]]
 
 
 def _solve_exact(matrix: list, rhs: list) -> list:
-    """Gaussian elimination over Fractions (small systems only)."""
-    m = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    """Gaussian elimination over Fractions; one solution per right-hand side."""
+    m = len(matrix)
+    a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(matrix)]
     for col in range(m):
         piv = next(r for r in range(col, m) if a[r][col] != 0)
         a[col], a[piv] = a[piv], a[col]
@@ -282,44 +288,35 @@ def _solve_exact(matrix: list, rhs: list) -> list:
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+    return [[a[r][m + k] for r in range(m)] for k in range(len(rhs))]
 
 
 def chain_hitting_exact(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
-    """Exact hitting probabilities h[i -> 0] and h[i -> *] for i = 1..n-1.
+    """Exact hitting probabilities of 0, '-' and '*' from i = 1..n-1.
 
-    Returns {"zero": [...], "star": [...]} (star omitted when amalgamated).
+    The exact solver: one rational elimination of (I - Q) h = b over the
+    transient rows of `ChainSpec.transition_matrix`, carrying the landing
+    masses into 0, '-' and '*' as three right-hand sides.  Returns
+    {"zero", "minus", "star"}, which sum to one state by state; amalgamated
+    solves (n-1 and '*' merged) return only "zero".
     """
     if not pmf.exact:
         raise ValueError("exact solve requires an exact pmf")
     if n > EXACT_CHAIN_LIMIT:
         raise ValueError(f"exact solve supports n <= {EXACT_CHAIN_LIMIT}")
-    p = pmf.p
-    zero_mass = pmf.zero_mass
-    b_zero, b_star, _ = _landing_vectors(n, pmf)
-    m = n - 1
-    system = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        system[i][i] = Fraction(1) - zero_mass
-        for j in range(m):
-            if j != i:
-                system[i][j] = -p[abs(j - i)]
-        if amalgamate:
-            system[i][m - 1] -= b_star[i]
-    h_zero = _solve_exact(system, b_zero)
+    rows = ChainSpec(n, pmf).transition_matrix()
+    # states 1..n-1 are rows and columns 2..n; '-' is column 0, state 0
+    # column 1 and '*' column n + 1
+    transient = range(2, n + 1)
+    system = [[int(r == c) - rows[r][c] for c in transient] for r in transient]
     if amalgamate:
-        return {"zero": h_zero}
-    h_star = _solve_exact(system, b_star)
-    return {"zero": h_zero, "star": h_star}
-
-
-def _long_pmf(pmf: AreaPmf):
-    """(p, zero_mass, sign_mass) of a pmf as long doubles; p[0] is unused."""
-    if pmf.exact:
-        p = np.asarray([float(v) for v in pmf.p], dtype=LONG)
-    else:
-        p = np.asarray(pmf.p, dtype=LONG)
-    return p, LONG(float(pmf.zero_mass)), LONG(float(pmf.sign_mass))
+        for r, row in zip(transient, system):
+            row[-1] -= rows[r][n + 1]
+        return {"zero": _solve_exact(system, [[rows[r][1] for r in transient]])[0]}
+    zero, minus, star = _solve_exact(
+        system, [[rows[r][col] for r in transient] for col in (1, 0, n + 1)]
+    )
+    return {"zero": zero, "minus": minus, "star": star}
 
 
 def _toeplitz_spectrum(p, m: int):
@@ -383,23 +380,21 @@ def chain_hitting_iterative(
 ) -> dict:
     """Hitting probabilities by diagonally-preconditioned Jacobi sweeps.
 
-    The interior operator is Toeplitz (the step law only depends on j - i),
-    so one sweep is one long-double FFT product with the circulant that
-    embeds it.  Returns {"zero": h[i -> 0], "minus": h[i -> '-'], "sweeps"}
-    for i = 1..n-1; amalgamated solves return only "zero".  Each
-    non-amalgamated vector is checked to be a sub-solution of its fixed-point
-    equation (and scaled toward zero until it is), so it lies below the true
-    hitting probabilities despite the rounding of the FFT sweeps.
+    The iterative solver of the same chain, in long doubles.  The interior
+    operator is Toeplitz (the step law only depends on j - i), so one sweep
+    is one FFT product with the circulant that embeds it.  Returns
+    {"zero": h[i -> 0], "minus": h[i -> '-'], "sweeps"} for i = 1..n-1;
+    amalgamated solves return only "zero".  Each non-amalgamated vector is
+    checked to be a sub-solution of its fixed-point equation (and scaled
+    toward zero until it is), so it lies below the true hitting
+    probabilities despite the rounding of the FFT sweeps.
     """
-    p, zero_mass, sign = _long_pmf(pmf)
-    m = n - 1
-    spectrum = _toeplitz_spectrum(p, m)
-    cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:n], dtype=LONG)))
+    p, zero_mass, sign = _pmf_arrays(pmf)
+    spectrum = _toeplitz_spectrum(p, n - 1)
     b_zero = p[1:n]
-    b_minus = sign - cum[1:n]  # steps below -i from state i
+    b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
     diag = LONG(1.0) - zero_mass
     if amalgamate:
-        b_star = sign - cum[m - 1 :: -1]  # steps of n - i or more from state i
         h_zero, sweeps = _sweep_solve(spectrum, b_zero, diag, tol, amalg_extra=b_star)
         return {"zero": h_zero, "sweeps": sweeps}
     h_zero, s1 = _sweep_solve(spectrum, b_zero, diag, tol)
@@ -430,10 +425,6 @@ class RhoEstimate:
     def rigorous(self) -> bool:
         return self.mode in ("exact-rational", "iterative")
 
-    @property
-    def estimate(self):
-        return self.lower if self.mode == "amalgamated" else (self.lower + self.upper) / 2
-
 
 def _rounded(x, toward: float) -> float:
     """A long double as a float, rounded toward -inf or +inf when inexact."""
@@ -444,30 +435,26 @@ def _rounded(x, toward: float) -> float:
 
 
 def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstimate:
-    """Rigorous bounds: P(hit 0) <= rho <= 1 - P(hit '-').
+    """Rigorous bounds: P(hit 0) <= rho <= 1 - P(hit '-'), from the start 0.
 
     Positive tail mass is routed to '*' and negative tail mass to '-', which
-    can only widen the bracket, never invalidate it.  The iterative path
-    takes both ends from checked sub-solutions, shaves each sum by its
-    rounding bound and rounds outward to float, so the bracket holds for the
-    chain that the given pmf values define.
+    can only widen the bracket, never invalidate it.  Exact pmfs on small
+    grids give the bracket as Fractions.  The iterative path takes both ends
+    from checked sub-solutions, shaves each sum by its rounding bound and
+    rounds outward to float, so the bracket holds for the chain that the
+    given pmf values define.
     """
     ChainSpec(n, pmf)  # validates the grid/truncation contract
-    if pmf.exact and n <= EXACT_CHAIN_LIMIT:
-        h = chain_hitting_exact(n, pmf)
-        _, _, start_star = _landing_vectors(n, pmf)
-        lower = pmf.zero_mass + sum(
-            pmf.p[j] * h["zero"][j - 1] for j in range(1, n)
-        )
-        to_star = start_star + sum(pmf.p[j] * h["star"][j - 1] for j in range(1, n))
-        return RhoEstimate(lower, lower + to_star, "exact-rational", n, pmf.K, pmf.kind)
-    h = chain_hitting_iterative(n, pmf, tol=tol)
-    p, zero_mass, sign = _long_pmf(pmf)
+    exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
+    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf, tol=tol)
+    p, zero_mass, sign = _pmf_arrays(pmf, exact)
+    lower = zero_mass + np.dot(p[1:n], h["zero"])
+    to_minus = sign + np.dot(p[1:n], h["minus"])
+    if exact:
+        return RhoEstimate(lower, 1 - to_minus, "exact-rational", n, pmf.K, pmf.kind)
     shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
-    lower = (zero_mass + np.dot(p[1:n], h["zero"])) * shave
-    to_minus = (sign + np.dot(p[1:n], h["minus"])) * shave
     return RhoEstimate(
-        _rounded(lower, -math.inf), _rounded(1 - to_minus, math.inf),
+        _rounded(lower * shave, -math.inf), _rounded(1 - to_minus * shave, math.inf),
         "iterative", n, pmf.K, pmf.kind,
     )
 
@@ -479,17 +466,17 @@ def rho_amalgamated(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> Rho
     state, which is unproven, so the result is flagged non-rigorous.
     """
     ChainSpec(n, pmf)  # validates the grid/truncation contract
-    if pmf.exact and n <= EXACT_CHAIN_LIMIT:
+    exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
+    if exact:
         h = chain_hitting_exact(n, pmf, amalgamate=True)
-        _, _, start_star = _landing_vectors(n, pmf)
-        est = pmf.zero_mass + sum(pmf.p[j] * h["zero"][j - 1] for j in range(1, n))
-        est = est + start_star * h["zero"][n - 2]
-        return RhoEstimate(est, est, "amalgamated", n, pmf.K, pmf.kind)
-    h = chain_hitting_iterative(n, pmf, amalgamate=True, tol=tol)
-    p, zero_mass, sign = _long_pmf(pmf)
-    est = zero_mass + np.dot(p[1:n], h["zero"])
-    est = est + (sign - np.sum(p[1:n])) * h["zero"][n - 2]
-    return RhoEstimate(float(est), float(est), "amalgamated", n, pmf.K, pmf.kind)
+    else:
+        h = chain_hitting_iterative(n, pmf, amalgamate=True, tol=tol)
+    p, zero_mass, sign = _pmf_arrays(pmf, exact)
+    start_star = _landing_masses(n, p, sign)[1][0]
+    est = zero_mass + np.dot(p[1:n], h["zero"]) + start_star * h["zero"][n - 2]
+    if not exact:
+        est = float(est)
+    return RhoEstimate(est, est, "amalgamated", n, pmf.K, pmf.kind)
 
 
 # ---------------------------------------------------------------------------

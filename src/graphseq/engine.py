@@ -154,18 +154,8 @@ class Layer:
         return sorted(self.bands)
 
     def value(self, y: int, a: int) -> int:
-        """F(depth, y, a), zero off the bands."""
-        if a < 0:
-            return 0
-        band = self.bands.get(y)
-        if band is None:
-            return 0
-        if a < band.lo:
-            return 0
-        if a > band.cap + 1:
-            # periodic in the area above the cap, period two
-            a = band.cap + ((a - band.cap) & 1)
-        return _limbs_to_int(band.limbs[a - band.lo])
+        """F(depth, y, a), zero off the bands and period two above a cap."""
+        return _limbs_to_int(_read_band_range(self.bands, y, a, a + 1, _nlimbs(self.depth))[0])
 
     @property
     def nbytes(self) -> int:

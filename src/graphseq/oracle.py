@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+#: ballot_count enumerates n! * 2**n arrangements, so n stays this small.
+BALLOT_LIMIT = 8
+
 
 def check_degree_sequence(d: Sequence[int]) -> None:
     n = len(d)
@@ -275,8 +278,8 @@ def ballot_count(x: Sequence) -> int:
 
     x = tuple(x)
     n = len(x)
-    if n > 8:
-        raise ValueError("exhaustive ballot count is limited to n <= 8")
+    if n > BALLOT_LIMIT:
+        raise ValueError(f"exhaustive ballot count is limited to n <= {BALLOT_LIMIT}")
     if any(v <= 0 for v in x):
         raise ValueError("weights must be strictly positive")
     count = 0

@@ -41,12 +41,31 @@ def _end_states(end: str) -> tuple:
 # exact persistence
 
 
+def _path_weights(n: int, nonnegative: bool = False) -> dict:
+    """(height, integral) -> total weight of the n-step lazy paths ending there.
+
+    A path weighs 2**(number of flat steps) out of a total 4**n; with
+    `nonnegative` only paths whose running integrals all stay >= 0 count.
+    """
+    states = {(0, 0): 1}
+    for _ in range(n):
+        nxt: dict = {}
+        for (y, a), w in states.items():
+            for step, mult in ((1, 1), (-1, 1), (0, 2)):
+                y2 = y + step
+                a2 = a + y2
+                if nonnegative and a2 < 0:
+                    continue
+                nxt[(y2, a2)] = nxt.get((y2, a2), 0) + w * mult
+        states = nxt
+    return states
+
+
 def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
     """P(all running integrals >= 0 | walk of n lazy steps ends as required).
 
     Exact, by integer-weighted dynamic programming over (height, integral):
-    each lazy path carries weight 2**(number of flat steps) out of a total
-    4**n, so the conditional probability is a ratio of two weighted counts.
+    the conditional probability is a ratio of two weighted path counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -54,20 +73,8 @@ def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
         raise ValueError(f"exact mode supports n <= {EXACT_LIMIT}")
     ends = _end_states(end)
 
-    def weighted(constrain: bool) -> int:
-        states = {(0, 0): 1}  # (height, integral) -> weight
-        for _ in range(n):
-            nxt: dict = {}
-            for (y, a), w in states.items():
-                for step, mult in ((1, 1), (-1, 1), (0, 2)):
-                    y2 = y + step
-                    a2 = a + y2
-                    if constrain and a2 < 0:
-                        continue
-                    key = (y2, a2)
-                    nxt[key] = nxt.get(key, 0) + w * mult
-            states = nxt
-        return sum(w for (y, _), w in states.items() if y in ends)
+    def weighted(nonnegative: bool) -> int:
+        return sum(w for (y, _), w in _path_weights(n, nonnegative).items() if y in ends)
 
     return Fraction(weighted(True), weighted(False))
 
@@ -294,28 +301,13 @@ def _joint_grid_float(n: int) -> np.ndarray:
     return cur
 
 
-def _joint_exact(n: int) -> dict:
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    states = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        nxt: dict = {}
-        for (y, b), w in states.items():
-            for step, weight in ((1, quarter), (-1, quarter), (0, half)):
-                y2 = y + step
-                key = (y2, b + y2)
-                nxt[key] = nxt.get(key, Fraction(0)) + w * weight
-        states = nxt
-    return states
-
-
 def joint_dist(n: int) -> JointTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 220:
         raise ValueError("joint law limited to n <= 220")
     if n <= RATIONAL_JOINT_LIMIT:
-        exact = _joint_exact(n)
+        exact = {k: Fraction(w, 4**n) for k, w in _path_weights(n).items()}
         amax = n * (n + 1) // 2
         grid = np.zeros((2 * n + 1, 2 * amax + 1))
         for (a, b), w in exact.items():
@@ -324,9 +316,12 @@ def joint_dist(n: int) -> JointTable:
     return JointTable(n, _joint_grid_float(n), None)
 
 
-def llt_density(x: float, y: float) -> float:
-    """Limiting density of (Y_n / sqrt(n), A_n / n^{3/2}), scaled by n^2."""
-    return (2 * math.sqrt(3) / math.pi) * math.exp(-4 * x * x + 12 * x * y - 12 * y * y)
+def llt_density(x, y):
+    """Limiting density of (Y_n / sqrt(n), A_n / n^{3/2}), scaled by n^2.
+
+    Takes floats or broadcasting numpy arrays.
+    """
+    return (2 * math.sqrt(3) / math.pi) * np.exp(-4 * x * x + 12 * x * y - 12 * y * y)
 
 
 def llt_error(n: int) -> float:
@@ -339,9 +334,7 @@ def llt_error(n: int) -> float:
     amax = table.amax
     a = np.arange(-n, n + 1, dtype=float).reshape(-1, 1)
     b = np.arange(-amax, amax + 1, dtype=float).reshape(1, -1)
-    x = a / math.sqrt(n)
-    y = b / n**1.5
-    density = (2 * math.sqrt(3) / math.pi) * np.exp(-4 * x * x + 12 * x * y - 12 * y * y)
+    density = llt_density(a / math.sqrt(n), b / n**1.5)
     return float(np.max(np.abs(n * n * table._grid - density)))
 
 

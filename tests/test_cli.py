@@ -40,6 +40,11 @@ def test_bad_arguments_exit_code(capsys):
         ["constants", "--grids", "8"],
         ["walk", "--n", "0"],
         ["walk", "--n", "5", "--samples", "0"],
+        ["oracle", "--ballot", "9"],
+        ["count", "--max-n", "5", "--checkpoint-every", "-1"],
+        ["count", "--max-n", "5", "--memory-limit", "0"],
+        ["count-ondemand", "--checkpoint", "missing.ckpt", "--target-n", "9",
+         "--memory-limit", "-5"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):

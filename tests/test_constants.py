@@ -171,6 +171,19 @@ def test_area_pmf_rejects_bad_method():
         area_pmf(5, "lazy", "bogus")
     with pytest.raises(ValueError):
         area_pmf(5, "lazy", "gf", exact=False)
+    with pytest.raises(ValueError):
+        area_pmf(5, "bogus", "dp")
+
+
+def test_exact_weights_round_once_to_long_double():
+    # at K = 100 many exact weights carry more bits than a double holds
+    pmf = area_pmf(100, "lazy", "dp")
+    assert pmf.exact
+    p = constants._pmf_arrays(pmf)[0]
+    assert p.dtype == np.longdouble
+    for exact, value in zip(pmf.p, p):
+        error = abs(F(*value.as_integer_ratio()) - exact)
+        assert error <= F(*np.spacing(value).as_integer_ratio()) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +219,21 @@ def test_exact_hitting_probabilities_n2():
     h = chain_hitting_exact(2, pmf)
     assert h["zero"][0] == F(1, 8)
     assert h["star"][0] == F(1, 2)
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_hitting_probabilities_sum_to_one(n, kind):
+    pmf = area_pmf(16, kind, "gf")
+    h = chain_hitting_exact(n, pmf)
+    for zero, minus, star in zip(h["zero"], h["minus"], h["star"]):
+        assert zero + minus + star == 1
+    # 1 - P(hit '-') equals P(hit 0) + P(hit '*') from the start state
+    start_star = pmf.sign_mass - sum(pmf.p[1:n])
+    to_star = start_star + sum(pmf.p[j] * h["star"][j - 1] for j in range(1, n))
+    est = rho_bounds(n, pmf)
+    assert est.mode == "exact-rational"
+    assert est.upper == est.lower + to_star
 
 
 def test_rho_bounds_n2_exact():
