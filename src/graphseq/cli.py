@@ -3,7 +3,7 @@
 Subcommands: count, count-ondemand, oracle, walk, rho, constants, verify.
 Exit codes: 0 success, 1 verification failure, 2 bad arguments or an
 unreadable checkpoint, 3 memory budget reached (``count`` saves a checkpoint
-of the last complete layer first).
+of the last layer reached first).
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ class RunStore:
     """Plain-file results store: appended output files plus a manifest."""
 
     def __init__(self, root):
+        self.started = time.monotonic()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.root / "manifest.json"
@@ -84,12 +85,25 @@ class RunStore:
             self.manifest = {"runs": []}
 
     def record(self, command: str, config: dict, outputs: list) -> None:
+        """Add a run: elapsed time since the store was opened, peak RSS, versions."""
+        import resource  # here rather than at import time, which every command pays
+
+        from . import __version__
+
         self.manifest["runs"].append(
             {
                 "command": command,
                 "config": config,
                 "outputs": outputs,
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "elapsed_s": round(time.monotonic() - self.started, 3),
+                # ru_maxrss is in KiB on Linux
+                "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                "versions": {
+                    "graphseq": __version__,
+                    "python": ".".join(map(str, sys.version_info[:3])),
+                    "numpy": np.__version__,
+                },
             }
         )
         self.manifest_path.write_text(json.dumps(self.manifest, indent=2) + "\n")
@@ -132,18 +146,22 @@ def _save_checkpoint(layer, directory: Path) -> Path:
     return path
 
 
+def _counts(max_n: int, parity, memory_limit: int | None = None, complete: bool = False):
+    """(n, count, layer) rows for n = 1..max_n, from the depth-0 layer."""
+    return engine.extend_counts(engine.initial_layer(parity), max_n, memory_limit, complete)
+
+
 def cmd_count(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     want_h = args.format == "csv"
     limit = args.memory_limit
     if want_h and limit is not None:
         limit //= 2  # the even and odd streams hold their layers side by side
-    even = engine.stream_counts(args.max_n, engine.Parity.EVEN, memory_limit=limit)
-    odd = (
-        engine.stream_counts(args.max_n, engine.Parity.ODD, memory_limit=limit)
-        if want_h
-        else None
-    )
+    # a periodic checkpoint is there to be extended past --max-n, so it needs
+    # complete layers; every other run advances over the cone of --max-n
+    complete = args.checkpoint_every is not None
+    even = _counts(args.max_n, engine.Parity.EVEN, limit, complete)
+    odd = _counts(args.max_n, engine.Parity.ODD, limit, complete) if want_h else None
 
     def rows():
         for n, g, layer in even:
@@ -188,8 +206,13 @@ def cmd_count_ondemand(args) -> int:
     if args.target_n <= ckpt.depth + 1:
         return _fail("count-ondemand", f"--target-n {args.target_n} must exceed the "
                      f"checkpoint's n = {ckpt.depth + 1}", EXIT_BAD_ARGS)
+    horizon = ckpt.layer.horizon
+    if horizon is not None and args.target_n > horizon + 1:
+        return _fail("count-ondemand", f"--target-n {args.target_n} lies beyond the "
+                     f"checkpoint's cone, which serves n <= {horizon + 1}", EXIT_BAD_ARGS)
     try:
-        rows = engine.extend_counts(ckpt, args.target_n, memory_limit=args.memory_limit)
+        rows = [(n, v) for n, v, _ in
+                engine.extend_counts(ckpt.layer, args.target_n, args.memory_limit)][1:]
     except engine.MemoryBudgetExceeded as exc:
         return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
     lines = list(bfile_lines(rows))
@@ -202,12 +225,14 @@ def cmd_oracle(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     lines = ["n,G,H,D"]
     failures = 0
+    if args.cross_check:
+        engine_g = [v for _, v, _ in _counts(args.max_n, engine.Parity.EVEN)]
+        engine_h = [v for _, v, _ in _counts(args.max_n, engine.Parity.ODD)]
     for n in range(1, args.max_n + 1):
         g, h, d = oracle.brute_counts(n)
         lines.append(f"{n},{g},{h},{d}")
         if args.cross_check:
-            eg = engine.count_graphic(n, engine.Parity.EVEN)
-            eh = engine.count_graphic(n, engine.Parity.ODD)
+            eg, eh = engine_g[n - 1], engine_h[n - 1]
             if (eg, eh) != (g, h):
                 failures += 1
                 lines.append(f"# MISMATCH at n={n}: engine ({eg}, {eh})")
@@ -358,15 +383,17 @@ def cmd_verify(args) -> int:
     max_n = args.max_n
 
     def engine_vs_oracle():
+        even = [v for _, v, _ in _counts(max_n, engine.Parity.EVEN)]
+        odd = [v for _, v, _ in _counts(max_n, engine.Parity.ODD)]
         for n in range(1, max_n + 1):
             g, h, d = oracle.brute_counts(n)
-            eq(engine.count_graphic(n, engine.Parity.EVEN), g, f"G({n})")
-            eq(engine.count_graphic(n, engine.Parity.ODD), h, f"H({n})")
+            eq(even[n - 1], g, f"G({n})")
+            eq(odd[n - 1], h, f"H({n})")
             eq(g + h, d, f"D({n})")
 
     def growth():
-        vals = [v for _, v, _ in engine.stream_counts(24)]
-        odd = [v for _, v, _ in engine.stream_counts(24, engine.Parity.ODD)]
+        vals = [v for _, v, _ in _counts(24, engine.Parity.EVEN)]
+        odd = [v for _, v, _ in _counts(24, engine.Parity.ODD)]
         for i in range(1, len(vals)):
             assert vals[i] >= vals[i - 1], f"G not monotone at {i + 1}"
             assert 2 * vals[i] >= vals[i - 1] + odd[i - 1], f"growth bound at {i + 1}"
@@ -401,8 +428,8 @@ def cmd_verify(args) -> int:
             engine.Checkpoint.of(layer).save(path)
             back = engine.Checkpoint.load(path)
         eq(back.layer, layer, "checkpoint roundtrip")
-        eq(engine.extend_counts(back, 10)[-1],
-           (10, engine.count_graphic(10, engine.Parity.ODD)), "on-demand extension")
+        *_, (n, value, _) = engine.extend_counts(back.layer, 10)
+        eq((n, value), (10, engine.count_graphic(10, engine.Parity.ODD)), "on-demand extension")
 
     def checkpoint_damage():
         with tempfile.TemporaryDirectory() as tmp:
@@ -497,7 +524,7 @@ def cmd_verify(args) -> int:
            Fraction(3), "linear model")
 
     def roundtrip_formats():
-        rows = [(n, v) for n, v, _ in engine.stream_counts(6)]
+        rows = [(n, v) for n, v, _ in _counts(6, engine.Parity.EVEN)]
         parsed = parse_bfile("\n".join(bfile_lines(rows)))
         eq(parsed, rows, "bfile roundtrip")
         triples = [(n, g, g - 1) for n, g in rows]
@@ -556,11 +583,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ballot_size(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= oracle.BALLOT_LIMIT:
-        raise argparse.ArgumentTypeError(f"must lie in 0..{oracle.BALLOT_LIMIT}, got {value}")
-    return value
+def _int_in(lo: int, hi: int):
+    """An argparse type for the integers lo..hi."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in {lo}..{hi}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # names the type in argparse's "invalid int value"
+    return parse
 
 
 def _grid_size(text: str) -> int:
@@ -617,12 +650,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_ondemand)
 
     p = sub.add_parser("oracle", help="brute-force tables and cross-checks")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_int_in(1, oracle.BRUTE_LIMIT), default=10)
     p.add_argument("--cross-check", action="store_true", default=True)
     p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
-    p.add_argument("--ballot", type=_ballot_size, default=0, metavar="N",
+    p.add_argument("--ballot", type=_int_in(0, oracle.BALLOT_LIMIT), default=0, metavar="N",
                    help="also report ballot counts up to this n")
-    p.add_argument("--ballot-vectors", type=int, default=20)
+    p.add_argument("--ballot-vectors", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
@@ -652,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
-    p.add_argument("--max-n", type=int, default=10,
+    p.add_argument("--max-n", type=_int_in(1, oracle.BRUTE_LIMIT), default=10,
                    help="exhaustive oracle range for the engine comparison")
     p.set_defaults(func=cmd_verify)
 

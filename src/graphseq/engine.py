@@ -25,14 +25,16 @@ two, so a band keeps exactly two representative values at the cap.  A
 checkpoint stores those same limb blocks raw, so saving and loading a layer
 is a copy, not a conversion.
 
-One recurrence serves both callers.  ``stream_counts`` advances
-complete layers from depth 0; ``extend_counts`` advances a checkpointed layer
-with the same ``advance``, restricted to the dependence cone of its largest
-target, the only cells that target reads.
+One generator, ``extend_counts``, serves every caller that reads counts: it
+advances a start layer (depth 0 or a checkpoint) over the dependence cone of
+its last target, the only cells that target reads, or over complete layers
+when a checkpoint is to be extended further later.  A layer records the
+horizon of its cone, and so does its checkpoint.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
@@ -48,10 +50,12 @@ LIMB_BITS = 60
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
-# versions 1 and 2 stored decimal digits (2 as area differences); they are refused
-CHECKPOINT_VERSION = 3
-# after the magic: version, parity, depth, band count, limbs per cell
-_CKPT_HEADER = struct.Struct("<IBQQQ")
+# versions 1 and 2 stored decimal digits (2 as area differences) and version 3
+# had no horizon; all three are refused
+CHECKPOINT_VERSION = 4
+# after the magic: version, parity, depth, band count, limbs per cell,
+# horizon (-1 for a complete layer)
+_CKPT_HEADER = struct.Struct("<IBQQQq")
 _CKPT_BAND = struct.Struct("<qqq")  # y, lo, cap; a limb block follows
 _CKPT_CRC = struct.Struct("<I")
 
@@ -66,7 +70,8 @@ class Parity(IntEnum):
 class MemoryBudgetExceeded(Exception):
     """Raised when the next layer would not fit in the configured budget.
 
-    Carries the last complete layer so the caller can checkpoint it.
+    Carries the last layer reached, complete or a cone, so the caller can
+    checkpoint it.
     """
 
     def __init__(self, depth: int, layer: "Layer", needed: int, budget: int):
@@ -144,11 +149,17 @@ class Band:
 
 @dataclass
 class Layer:
-    """All counts at one recursion depth, one band per height."""
+    """All counts at one recursion depth, one band per height.
+
+    horizon is None for a complete layer.  A cone layer holds only the cells
+    that F(horizon, 0, 0) reads, and reads above its cut bands give 0, so it
+    serves no target beyond its horizon.
+    """
 
     depth: int
     parity: Parity
     bands: dict
+    horizon: int | None = None
 
     def heights(self) -> list:
         return sorted(self.bands)
@@ -247,16 +258,22 @@ def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int, nl: in
 def advance(layer: Layer, horizon: int | None = None) -> Layer:
     """Produce the layer one depth further, reading the parent only.
 
-    With a horizon the new layer holds only the cone of (horizon, 0, 0); the
-    parent must then be complete or the cone of the same horizon.
+    With a horizon the new layer holds only the cone of (horizon, 0, 0).  The
+    cone of a horizon holds the cone of every smaller one, so a cone parent
+    advances to any horizon up to its own, never to a larger one or to a
+    complete layer.
     """
     depth = layer.depth + 1
+    if (horizon is not None and horizon < depth) or (
+            layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
+        raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
+                         f"cannot advance to horizon {horizon}")
     nl = _nlimbs(depth)
     bands = {
         y: _advance_band(layer.bands, y, lo, cap, hi, nl)
         for y, lo, cap, hi in _band_geometry(depth, horizon)
     }
-    return Layer(depth, layer.parity, bands)
+    return Layer(depth, layer.parity, bands, horizon)
 
 
 def _estimate_layer_bytes(depth: int, horizon: int | None = None) -> int:
@@ -264,56 +281,45 @@ def _estimate_layer_bytes(depth: int, horizon: int | None = None) -> int:
     return cells * _nlimbs(depth) * 8
 
 
-def _advance_layers(
+def extend_counts(
     layer: Layer,
-    last_depth: int,
-    horizon: int | None,
-    memory_limit: int | None,
-    kept: Layer | None = None,
-) -> Iterator[Layer]:
-    """Yield the layers after `layer` up to `last_depth`.
+    max_n: int,
+    memory_limit: int | None = None,
+    complete: bool = False,
+) -> Iterator[tuple]:
+    """Yield (n, count, layer) for n = depth + 1 of `layer` up to max_n.
 
-    Before each advance the transient footprint, parent plus estimated child
-    plus ``kept`` (a layer the caller holds throughout, counted once), is
-    checked against ``memory_limit``; past it, MemoryBudgetExceeded carries
-    the parent.
+    count is G(n) for the even parity and H(n) for the odd one; the first row
+    is the start layer's own.  The layers advance over the dependence cone of
+    (max_n - 1, 0, 0), which holds the origin cell of every depth on the way,
+    so one pass yields every row.  With ``complete`` they are complete
+    layers, which a checkpoint extended past max_n later needs.
+
+    Before each advance the start layer (held throughout), the parent and the
+    estimated child are checked against ``memory_limit`` bytes; past it,
+    MemoryBudgetExceeded carries the parent.
     """
-    for depth in range(layer.depth + 1, last_depth + 1):
+    start = layer
+    if max_n < start.depth + 1:
+        raise ValueError(f"max_n must be at least the start layer's n = {start.depth + 1}")
+    horizon = None if complete else max_n - 1
+    yield start.depth + 1, start.value(0, 0), start
+    for depth in range(start.depth + 1, max_n):
         if memory_limit is not None:
             needed = layer.nbytes + _estimate_layer_bytes(depth, horizon)
-            if kept is not None and kept is not layer:
-                needed += kept.nbytes
+            if layer is not start:
+                needed += start.nbytes
             if needed > memory_limit:
                 raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
         layer = advance(layer, horizon)
-        yield layer
-
-
-def stream_counts(
-    max_n: int,
-    parity: Parity = Parity.EVEN,
-    memory_limit: int | None = None,
-) -> Iterator[tuple]:
-    """Yield (n, count, layer) for n = 1..max_n.
-
-    count is G(n) for the even parity and H(n) for the odd one.  If advancing
-    would push the transient footprint (parent + child layer) past
-    ``memory_limit`` bytes, MemoryBudgetExceeded is raised carrying the last
-    complete layer.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    layer = initial_layer(parity)
-    yield 1, layer.value(0, 0), layer
-    for layer in _advance_layers(layer, max_n - 1, None, memory_limit):
-        yield layer.depth + 1, layer.value(0, 0), layer
+        yield depth + 1, layer.value(0, 0), layer
 
 
 def count_graphic(n: int, parity: Parity = Parity.EVEN) -> int:
     """G(n) for Parity.EVEN, H(n) for Parity.ODD (exact)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for _, value, _ in stream_counts(n, parity):
+    for _, value, _ in extend_counts(initial_layer(parity), n):
         pass
     return value
 
@@ -336,12 +342,14 @@ def _crc_read(fh, size: int, crc: int) -> tuple:
 
 @dataclass
 class Checkpoint:
-    """A serializable snapshot of one complete layer.
+    """A serializable snapshot of one layer, complete or a cone.
 
     File layout, all little-endian: the magic bytes; the header (version u32,
-    parity u8, depth u64, band count u64, limbs per cell u64); per band in
-    increasing height, (y, lo, cap) as i64 and the band's int64 limb block of
-    (cap + 2 - lo) x limbs; last, the zlib crc32 of everything before it.
+    parity u8, depth u64, band count u64, limbs per cell u64, horizon i64,
+    -1 for a complete layer); per band in increasing height, (y, lo, cap) as
+    i64 and the band's int64 limb block of (hi + 1 - lo) x limbs, where hi
+    follows from the depth and the horizon (`_band_geometry`); last, the zlib
+    crc32 of everything before it.
     """
 
     parity: Parity
@@ -360,9 +368,10 @@ class Checkpoint:
         try:
             with os.fdopen(fd, "wb") as fh:
                 crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
+                horizon = -1 if layer.horizon is None else layer.horizon
                 crc = _crc_write(fh, _CKPT_HEADER.pack(
                     CHECKPOINT_VERSION, int(self.parity), self.depth, len(layer.bands),
-                    _nlimbs(self.depth)), crc)
+                    _nlimbs(self.depth), horizon), crc)
                 for y in layer.heights():
                     band = layer.bands[y]
                     crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
@@ -388,12 +397,14 @@ class Checkpoint:
                 raise CheckpointFormatError(
                     f"unsupported checkpoint format version {version} "
                     f"(this build reads version {CHECKPOINT_VERSION} only)")
-            _, parity, depth, nbands, nl = _CKPT_HEADER.unpack(header)
-            if parity not in (Parity.EVEN, Parity.ODD) or nbands != 2 * depth + 2 \
-                    or nl != _nlimbs(depth):
+            _, parity, depth, nbands, nl, horizon = _CKPT_HEADER.unpack(header)
+            horizon = None if horizon == -1 else horizon
+            if parity not in (Parity.EVEN, Parity.ODD) or nl != _nlimbs(depth) \
+                    or (horizon is not None and horizon < depth):
                 raise CheckpointFormatError("header disagrees with the layer geometry")
+            geometry = _band_geometry(depth, horizon)
             bands = {}
-            for y, lo, cap, hi in _band_geometry(depth):
+            for y, lo, cap, hi in itertools.islice(geometry, nbands):
                 record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
                 got = _CKPT_BAND.unpack(record)
                 if got != (y, lo, cap):
@@ -404,37 +415,11 @@ class Checkpoint:
                     raise CheckpointFormatError("checkpoint is truncated")
                 crc = zlib.crc32(raw, crc)
                 bands[y] = Band(lo, cap, limbs.astype(np.int64, copy=False))
+            if len(bands) != nbands or next(geometry, None) is not None:
+                raise CheckpointFormatError("band count disagrees with the layer geometry")
             stored, _ = _crc_read(fh, _CKPT_CRC.size, 0)
             if _CKPT_CRC.unpack(stored)[0] != crc:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
-        return cls(Parity(parity), depth, Layer(depth, Parity(parity), bands))
-
-
-# ---------------------------------------------------------------------------
-# on-demand extension
-
-
-def extend_counts(
-    checkpoint: Checkpoint, max_n: int, memory_limit: int | None = None
-) -> list:
-    """(n, count) for every n beyond the checkpoint up to max_n.
-
-    The checkpointed layer advances to depth max_n - 1 over the dependence
-    cone of (max_n - 1, 0, 0) only.  That cone holds the origin cell of every
-    depth on the way, so one pass yields every row.  The cone layers stay
-    inside this call.  ``memory_limit`` covers the checkpoint's layer, which
-    stays alive throughout, plus the two cone layers in flight; on
-    MemoryBudgetExceeded the exception carries the checkpoint's own layer.
-    """
-    base = checkpoint.layer
-    if max_n < base.depth + 2:
-        raise ValueError("max_n must exceed the checkpoint's n")
-    try:
-        return [
-            (layer.depth + 1, layer.value(0, 0))
-            for layer in _advance_layers(base, max_n - 1, max_n - 1, memory_limit, base)
-        ]
-    except MemoryBudgetExceeded as exc:
-        raise MemoryBudgetExceeded(exc.depth, base, exc.needed, exc.budget) from None
+        return cls(Parity(parity), depth, Layer(depth, Parity(parity), bands, horizon))

@@ -45,16 +45,21 @@ def report(number: int, description: str):
 # shared artifacts
 
 
+def counts(max_n, parity=engine.Parity.EVEN):
+    """G(1..max_n) or H(1..max_n), advancing over the cone of max_n."""
+    return [v for _, v, _ in engine.extend_counts(engine.initial_layer(parity), max_n)]
+
+
 @pytest.fixture(scope="session")
 def counts_to_300():
     t0 = time.time()
-    values = [v for _, v, _ in engine.stream_counts(300)]
+    values = counts(300)
     return {"G": values, "elapsed": time.time() - t0}
 
 
 @pytest.fixture(scope="session")
 def odd_counts_to_200():
-    return [v for _, v, _ in engine.stream_counts(200, engine.Parity.ODD)]
+    return counts(200, engine.Parity.ODD)
 
 
 @pytest.fixture(scope="session")
@@ -98,8 +103,8 @@ def bridge_mc_at_1e4():
 @report(1, "exact counts equal the brute-force oracle for n <= 14")
 def test_criterion_01_oracle_equivalence():
     t0 = time.time()
-    even = [v for _, v, _ in engine.stream_counts(14)]
-    odd = [v for _, v, _ in engine.stream_counts(14, engine.Parity.ODD)]
+    even = counts(14)
+    odd = counts(14, engine.Parity.ODD)
     assert even[:3] == [1, 2, 4]
     assert odd[2] == 1
     for n in range(1, 15):

@@ -1,9 +1,12 @@
 """CLI surface: commands, exit codes, formats, the results store."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
+import graphseq
 from graphseq import cli, constants, engine
 from graphseq.cli import (
     EXIT_BAD_ARGS,
@@ -22,6 +25,11 @@ def layer_at(depth):
     for _ in range(depth):
         layer = engine.advance(layer)
     return layer
+
+
+def count_rows(max_n, parity=engine.Parity.EVEN, **kwargs):
+    start = engine.initial_layer(parity)
+    return [(n, v) for n, v, _ in engine.extend_counts(start, max_n, **kwargs)]
 
 
 def test_bad_arguments_exit_code(capsys):
@@ -45,6 +53,10 @@ def test_bad_arguments_exit_code(capsys):
         ["count", "--max-n", "5", "--memory-limit", "0"],
         ["count-ondemand", "--checkpoint", "missing.ckpt", "--target-n", "9",
          "--memory-limit", "-5"],
+        ["oracle", "--max-n", "-3"],
+        ["oracle", "--max-n", "30"],
+        ["oracle", "--ballot", "3", "--ballot-vectors", "-1"],
+        ["verify", "--max-n", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
@@ -74,11 +86,11 @@ def test_count_csv_output(capsys):
 
 
 def test_bfile_roundtrips_through_csv_exporter():
-    rows = [(n, v) for n, v, _ in engine.stream_counts(9)]
+    rows = count_rows(9)
     bfile = "\n".join(bfile_lines(rows))
     parsed = parse_bfile(bfile)
     assert parsed == rows
-    h = {n: v for n, v, _ in engine.stream_counts(9, engine.Parity.ODD)}
+    h = dict(count_rows(9, engine.Parity.ODD))
     triples = [(n, g, h[n]) for n, g in parsed]
     again = parse_csv_counts("\n".join(csv_lines(triples)))
     assert again == triples
@@ -148,7 +160,7 @@ def test_csv_splits_memory_limit_between_streams(tmp_path, capsys):
     ])
     assert code == EXIT_MEMORY_CHECKPOINT
     with pytest.raises(engine.MemoryBudgetExceeded) as info:
-        list(engine.stream_counts(40, memory_limit=limit // 2))
+        count_rows(40, memory_limit=limit // 2)
     (saved,) = tmp_path.glob("*.ckpt")
     assert engine.Checkpoint.load(saved).depth == info.value.layer.depth
 
@@ -171,6 +183,39 @@ def test_checkpoint_dir_env_fallback(tmp_path, monkeypatch, capsys):
     code = run(["count", "--max-n", "40", "--memory-limit", "3000"])
     assert code == EXIT_MEMORY_CHECKPOINT
     assert list(tmp_path.glob("*.ckpt"))
+
+
+def test_budget_checkpoint_of_a_cone_count_serves_its_horizon(tmp_path, capsys):
+    code = run([
+        "count", "--max-n", "40", "--memory-limit", "3000",
+        "--checkpoint-dir", str(tmp_path),
+    ])
+    assert code == EXIT_MEMORY_CHECKPOINT
+    (saved,) = tmp_path.glob("*.ckpt")
+    ckpt = engine.Checkpoint.load(saved)
+    assert ckpt.layer.horizon == 39
+    capsys.readouterr()
+    code = run(["count-ondemand", "--checkpoint", str(saved), "--target-n", "40"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [f"{n} {v}" for n, v in count_rows(40)[ckpt.depth + 1:]]
+    argv = ["--checkpoint", str(saved), "--target-n", "41"]
+    assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
+
+
+def test_periodic_checkpoints_are_complete_layers(tmp_path, capsys):
+    code = run([
+        "count", "--max-n", "9", "--checkpoint-every", "8",
+        "--checkpoint-dir", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    (saved,) = tmp_path.glob("*.ckpt")
+    assert engine.Checkpoint.load(saved).layer.horizon is None
+    capsys.readouterr()
+    code = run(["count-ondemand", "--checkpoint", str(saved), "--target-n", "30"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [f"{n} {v}" for n, v in count_rows(30)[9:]]
 
 
 def test_count_ondemand_continues_from_checkpoint(tmp_path, capsys):
@@ -199,9 +244,8 @@ def test_count_ondemand_memory_budget_exits_three(tmp_path, capsys):
 
 
 def test_count_ondemand_budget_message_is_consistent(tmp_path):
-    ckpt = engine.Checkpoint.of(layer_at(3))
     with pytest.raises(engine.MemoryBudgetExceeded) as info:
-        engine.extend_counts(ckpt, 60, memory_limit=2000)
+        list(engine.extend_counts(layer_at(3), 60, memory_limit=2000))
     assert info.value.needed > info.value.budget == 2000
 
 
@@ -253,6 +297,18 @@ def test_walk_records_store(tmp_path, capsys):
     assert manifest["runs"][0]["config"]["seed"] == 3
     stored = (tmp_path / "walk.csv").read_text()
     assert "n,estimate,stderr,scaled" in stored
+
+
+def test_count_manifest_records_cost_and_versions(tmp_path, capsys):
+    assert run(["--run-dir", str(tmp_path), "count", "--max-n", "30"]) == EXIT_OK
+    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert 0 <= entry["elapsed_s"] < 60
+    assert 10 < entry["peak_rss_mib"] < 8192
+    assert entry["versions"] == {
+        "graphseq": graphseq.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+    }
 
 
 def test_count_store_appends(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import zlib
 
 import pytest
 from hypothesis import given
@@ -19,15 +20,22 @@ from graphseq.engine import (
     decrease_cap,
     extend_counts,
     initial_layer,
-    stream_counts,
 )
 
 
-def layer_at(depth, parity=Parity.EVEN):
+def layer_at(depth, parity=Parity.EVEN, horizon=None):
     layer = initial_layer(parity)
     for _ in range(depth):
-        layer = advance(layer)
+        layer = advance(layer, horizon)
     return layer
+
+
+def count_rows(layer, max_n, **kwargs):
+    return [(n, v) for n, v, _ in extend_counts(layer, max_n, **kwargs)]
+
+
+def counts(max_n, parity=Parity.EVEN, **kwargs):
+    return [v for _, v in count_rows(initial_layer(parity), max_n, **kwargs)]
 
 
 _REFERENCE_MEMO = {}
@@ -110,8 +118,8 @@ def test_sum_identity_dominating():
 
 
 def test_growth_properties():
-    values = [v for _, v, _ in stream_counts(30)]
-    odd_values = [v for _, v, _ in stream_counts(30, Parity.ODD)]
+    values = counts(30)
+    odd_values = counts(30, Parity.ODD)
     for i in range(1, 30):
         assert values[i] >= values[i - 1]
         assert 2 * values[i] >= values[i - 1] + odd_values[i - 1]
@@ -205,6 +213,19 @@ def test_checkpoint_roundtrip(parity, tmp_path):
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer
     assert loaded.depth == 10 and loaded.parity == parity
+    assert loaded.layer.horizon is None
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+def test_checkpoint_roundtrip_cone_layer(parity, tmp_path):
+    layer = layer_at(20, parity, horizon=39)
+    # the cone cuts bands below cap + 1 and drops the heights it never reaches
+    assert len(layer.bands) < 2 * 20 + 2
+    assert any(b.lo + len(b.limbs) < b.cap + 2 for b in layer.bands.values())
+    path = tmp_path / "cone.ckpt"
+    Checkpoint.of(layer).save(path)
+    loaded = Checkpoint.load(path)
+    assert loaded.layer == layer and loaded.layer.horizon == 39
 
 
 def test_checkpoint_roundtrip_four_limbs(tmp_path):
@@ -215,15 +236,15 @@ def test_checkpoint_roundtrip_four_limbs(tmp_path):
     assert Checkpoint.load(path).layer == layer
 
 
-def saved_bytes(tmp_path, depth=4):
+def saved_bytes(tmp_path, depth=4, horizon=None):
     path = tmp_path / "layer.ckpt"
-    Checkpoint.of(layer_at(depth)).save(path)
+    Checkpoint.of(layer_at(depth, horizon=horizon)).save(path)
     return path, path.read_bytes()
 
 
 def test_checkpoint_version_mismatch(tmp_path):
     path, good = saved_bytes(tmp_path)
-    for version in (1, 2, 77):
+    for version in (1, 2, 3, 77):
         path.write_bytes(good[:8] + version.to_bytes(4, "little") + good[12:])
         with pytest.raises(CheckpointFormatError, match=f"version {version}"):
             Checkpoint.load(path)
@@ -232,22 +253,65 @@ def test_checkpoint_version_mismatch(tmp_path):
         Checkpoint.load(path)
 
 
-# mid-band: 8 magic + 29 header + 24 first band record + 20 of its 32 limb bytes
+# mid-band: 8 magic + 37 header + 24 first band record + 20 of its limb bytes
 @pytest.mark.parametrize(
-    "cut", [20, 8 + 29 + 24 + 20, -4], ids=["header", "mid-band", "before-checksum"]
+    "cut", [20, 8 + 37 + 24 + 20, -4], ids=["header", "mid-band", "before-checksum"]
 )
 def test_checkpoint_truncation(cut, tmp_path):
-    path, good = saved_bytes(tmp_path)
-    path.write_bytes(good[:cut])
-    with pytest.raises(CheckpointFormatError):
-        Checkpoint.load(path)
+    for horizon in (None, 7):  # a complete layer and a cone layer
+        path, good = saved_bytes(tmp_path, horizon=horizon)
+        path.write_bytes(good[:cut])
+        with pytest.raises(CheckpointFormatError):
+            Checkpoint.load(path)
 
 
 def test_checkpoint_single_byte_corruption(tmp_path):
-    path, good = saved_bytes(tmp_path, depth=2)
-    for i in range(len(good)):
-        path.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1 :])
-        with pytest.raises(CheckpointFormatError):
+    for horizon in (None, 4):  # a complete layer and a cone layer
+        path, good = saved_bytes(tmp_path, depth=2, horizon=horizon)
+        for i in range(len(good)):
+            path.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1 :])
+            with pytest.raises(CheckpointFormatError):
+                Checkpoint.load(path)
+
+
+def resealed(body):
+    """Checkpoint bytes with a fresh checksum, as a consistent writer would leave them."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def with_horizon(good, horizon):
+    """The checkpoint bytes with the header's horizon replaced, checksum redone."""
+    offset = 8 + 29  # the horizon is the header's last field
+    return resealed(
+        good[:offset] + horizon.to_bytes(8, "little", signed=True) + good[offset + 8 : -4])
+
+
+def test_checkpoint_horizon_must_match_the_bands(tmp_path):
+    path, good = saved_bytes(tmp_path, depth=10, horizon=19)
+    path.write_bytes(with_horizon(good, 19))
+    assert Checkpoint.load(path).layer.horizon == 19  # the rewrite itself is sound
+    # complete, a wider cone, a narrower one and one behind the depth
+    for horizon in (-1, 20, 18, 9, -2):
+        path.write_bytes(with_horizon(good, horizon))
+        with pytest.raises(CheckpointFormatError, match="geometry"):
+            Checkpoint.load(path)
+    path, good = saved_bytes(tmp_path, depth=10)
+    path.write_bytes(with_horizon(good, 19))
+    with pytest.raises(CheckpointFormatError, match="geometry"):
+        Checkpoint.load(path)
+
+
+def test_checkpoint_band_count_must_match_the_geometry(tmp_path):
+    layer = layer_at(10, horizon=19)
+    path, good = saved_bytes(tmp_path, depth=10, horizon=19)
+    last_band = engine._CKPT_BAND.size + layer.bands[max(layer.bands)].limbs.nbytes
+    count_at = 8 + 4 + 1 + 8  # magic, version, parity, depth
+    nbands = len(layer.bands)
+    # one band short, its record gone too; one band more than stored
+    for count, body in ((nbands - 1, good[: -4 - last_band]), (nbands + 1, good[:-4])):
+        header = good[:count_at] + count.to_bytes(8, "little")
+        path.write_bytes(resealed(header + body[count_at + 8 :]))
+        with pytest.raises(CheckpointFormatError, match="band count"):
             Checkpoint.load(path)
 
 
@@ -275,67 +339,87 @@ def test_checkpoint_magic_bytes(tmp_path):
 
 
 def test_extend_from_depth10_matches_full():
-    ckpt = Checkpoint.of(layer_at(10))
-    assert extend_counts(ckpt, 13)[-1] == (13, count_graphic(13))
+    assert count_rows(layer_at(10), 13)[-1] == (13, count_graphic(13))
 
 
 def test_extend_from_initial_layers():
-    assert extend_counts(Checkpoint.of(initial_layer(Parity.EVEN)), 3)[-1] == (3, 4)
-    assert extend_counts(Checkpoint.of(initial_layer(Parity.ODD)), 3)[-1] == (3, 1)
+    assert count_rows(initial_layer(Parity.EVEN), 3)[-1] == (3, 4)
+    assert count_rows(initial_layer(Parity.ODD), 3)[-1] == (3, 1)
 
 
 def test_extend_counts_stream():
-    ckpt = Checkpoint.of(layer_at(6))
-    rows = extend_counts(ckpt, 12)
-    assert rows == [(n, count_graphic(n)) for n in range(8, 13)]
+    rows = count_rows(layer_at(6), 12)
+    assert rows[0] == (7, count_graphic(7))  # the start layer's own row
+    assert rows[1:] == [(n, count_graphic(n)) for n in range(8, 13)]
 
 
 @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
 def test_extend_counts_equals_stream_counts(parity, tmp_path):
-    streamed = [(n, v) for n, v, _ in stream_counts(40, parity)]
-    assert extend_counts(Checkpoint.of(initial_layer(parity)), 40) == streamed[1:]
+    # cone rows against complete-layer rows
+    complete = count_rows(initial_layer(parity), 60, complete=True)
+    assert [n for n, _ in complete] == list(range(1, 61))
+    assert count_rows(initial_layer(parity), 60) == complete
     path = tmp_path / "depth6.ckpt"
     Checkpoint.of(layer_at(6, parity)).save(path)
-    assert extend_counts(Checkpoint.load(path), 30) == streamed[7:30]
+    assert count_rows(Checkpoint.load(path).layer, 60) == complete[6:]
+    # a saved cone layer extends to its own horizon and to any smaller one
+    Checkpoint.of(layer_at(21, parity, horizon=59)).save(path)
+    loaded = Checkpoint.load(path).layer
+    assert loaded.horizon == 59
+    assert count_rows(loaded, 60) == complete[21:]
+    assert count_rows(loaded, 45) == complete[21:45]
 
 
 def test_extend_counts_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
-    rows = extend_counts(Checkpoint.of(layer_at(3)), 200)
+    rows = count_rows(layer_at(3), 200)
     assert sys.getrecursionlimit() == limit
-    assert [n for n, _ in rows] == list(range(5, 201))
+    assert [n for n, _ in rows[1:]] == list(range(5, 201))
 
 
 def test_extend_rejects_backward_target():
-    ckpt = Checkpoint.of(layer_at(5))
     with pytest.raises(ValueError):
-        extend_counts(ckpt, 6)
+        list(extend_counts(layer_at(5), 5))  # the layer's own n is 6
+
+
+def test_cone_layer_serves_no_target_beyond_its_horizon():
+    cone = layer_at(5, horizon=9)
+    assert [n for n, _ in count_rows(cone, 10)] == list(range(6, 11))
+    with pytest.raises(ValueError, match="horizon 9"):
+        list(extend_counts(cone, 11))
+    with pytest.raises(ValueError, match="horizon 9"):
+        list(extend_counts(cone, 8, complete=True))
+    with pytest.raises(ValueError):
+        advance(layer_at(5), 5)  # a horizon behind the new depth
 
 
 def test_extend_memory_budget():
-    ckpt = Checkpoint.of(initial_layer(Parity.EVEN))
+    start = initial_layer(Parity.EVEN)
     with pytest.raises(MemoryBudgetExceeded) as info:
-        extend_counts(ckpt, 61, memory_limit=1000)
-    # the cone layers stay inside the call: the exception carries the checkpoint
-    assert info.value.layer is ckpt.layer
+        list(extend_counts(start, 61, memory_limit=1000))
+    # the exception carries the last cone layer reached
+    layer = info.value.layer
+    assert layer.horizon == 60 and 0 < layer.depth < 60
+    assert layer.value(0, 0) == count_graphic(layer.depth + 1)
     assert info.value.needed > info.value.budget == 1000
 
 
 def test_extend_budget_counts_the_checkpoint_on_every_step():
-    # the checkpoint stays alive: past the first step the process holds it,
+    # the start layer stays alive: past the first step the process holds it,
     # the cone parent and the cone child at once
-    ckpt = Checkpoint.of(layer_at(12))
+    start = layer_at(12)
     max_n = 30
-    parent, peak = ckpt.layer, 0
-    for _ in range(ckpt.depth + 1, max_n):
+    parent, peak, peak_parent = start, 0, None
+    for _ in range(start.depth + 1, max_n):
         child = advance(parent, max_n - 1)
-        kept = 0 if parent is ckpt.layer else ckpt.layer.nbytes
-        peak = max(peak, kept + parent.nbytes + child.nbytes)
+        kept = 0 if parent is start else start.nbytes
+        if kept + parent.nbytes + child.nbytes > peak:
+            peak, peak_parent = kept + parent.nbytes + child.nbytes, parent
         parent = child
-    assert extend_counts(ckpt, max_n, memory_limit=peak) == extend_counts(ckpt, max_n)
+    assert count_rows(start, max_n, memory_limit=peak) == count_rows(start, max_n)
     with pytest.raises(MemoryBudgetExceeded) as info:
-        extend_counts(ckpt, max_n, memory_limit=peak - 1)
-    assert info.value.layer is ckpt.layer
+        list(extend_counts(start, max_n, memory_limit=peak - 1))
+    assert info.value.layer.depth == peak_parent.depth
     assert info.value.needed == peak
 
 
@@ -344,16 +428,18 @@ def test_extend_budget_counts_the_checkpoint_on_every_step():
 
 
 def test_stream_counts_memory_budget():
-    with pytest.raises(MemoryBudgetExceeded) as info:
-        list(stream_counts(60, memory_limit=4000))
-    exc = info.value
-    assert exc.layer.depth < 60
-    assert exc.needed > 4000
-    # the carried layer is complete and usable
-    assert exc.layer.value(0, 0) == count_graphic(exc.layer.depth + 1)
+    for complete, horizon in ((False, 59), (True, None)):
+        with pytest.raises(MemoryBudgetExceeded) as info:
+            counts(60, memory_limit=4000, complete=complete)
+        exc = info.value
+        assert exc.layer.depth < 60
+        assert exc.needed > 4000
+        # the carried layer is a cone of the run's horizon, or complete, and usable
+        assert exc.layer.horizon == horizon
+        assert exc.layer.value(0, 0) == count_graphic(exc.layer.depth + 1)
 
 
 def test_stream_counts_values_against_oracle_prefix():
-    got = [(n, v) for n, v, _ in stream_counts(8)]
+    got = count_rows(initial_layer(Parity.EVEN), 8)
     want = [(n, oracle.brute_counts(n)[0]) for n in range(1, 9)]
     assert got == want

@@ -168,6 +168,12 @@ def test_brute_counts_fast_equals_naive(n):
     assert brute_counts(n) == brute_counts_naive(n)
 
 
+def test_brute_counts_refuses_sizes_outside_its_limit():
+    for n in (0, -3, oracle.BRUTE_LIMIT + 1):
+        with pytest.raises(ValueError, match="limited"):
+            brute_counts(n)
+
+
 def test_dominating_matches_walk_positivity():
     for n in range(1, 9):
         _, _, d_count = brute_counts(n)
