@@ -84,8 +84,11 @@ class RunStore:
         else:
             self.manifest = {"runs": []}
 
-    def record(self, command: str, config: dict, outputs: list) -> None:
-        """Add a run: elapsed time since the store was opened, peak RSS, versions."""
+    def record(self, command: str, config: dict, outputs: list, **fields) -> None:
+        """Add a run: elapsed time since the store was opened, peak RSS, versions.
+
+        ``fields`` are further per-run measurements, stored as given.
+        """
         import resource  # here rather than at import time, which every command pays
 
         from . import __version__
@@ -105,6 +108,7 @@ class RunStore:
                     "numpy": np.__version__,
                 },
             }
+            | fields
         )
         self.manifest_path.write_text(json.dumps(self.manifest, indent=2) + "\n")
 
@@ -162,13 +166,24 @@ def cmd_count(args) -> int:
     complete = args.checkpoint_every is not None
     even = _counts(args.max_n, engine.Parity.EVEN, limit, complete)
     odd = _counts(args.max_n, engine.Parity.ODD, limit, complete) if want_h else None
+    # the advanced layers' cells and largest size, measured only for the manifest
+    cost = {"cells_advanced": 0, "peak_layer_mib": 0.0} if store is not None else None
 
     def rows():
         for n, g, layer in even:
-            yield (n, g, next(odd)[1]) if want_h else (n, g)
+            layers = [layer]
+            if want_h:
+                _, h, odd_layer = next(odd)
+                layers.append(odd_layer)
+            yield (n, g, h) if want_h else (n, g)
             # runs once the row's line is printed, as the consumer asks for the next
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, _checkpoint_dir(args))
+            if cost is not None and layer.depth:  # the depth-0 start is not advanced
+                cost["cells_advanced"] += sum(
+                    len(band.limbs) for each in layers for band in each.bands.values())
+                mib = sum(each.nbytes for each in layers) / 2**20
+                cost["peak_layer_mib"] = max(cost["peak_layer_mib"], round(mib, 3))
 
     lines_out = []
     try:
@@ -184,11 +199,11 @@ def cmd_count(args) -> int:
         )
         if store is not None:
             store.append("results." + args.format, lines_out)
-            store.record("count", _config(args) | {"interrupted": True}, [str(path)])
+            store.record("count", _config(args) | {"interrupted": True}, [str(path)], **cost)
         return EXIT_MEMORY_CHECKPOINT
     if store is not None:
         path = store.append("results." + args.format, lines_out)
-        store.record("count", _config(args), [path])
+        store.record("count", _config(args), [path], **cost)
     return EXIT_OK
 
 

@@ -50,9 +50,10 @@ LIMB_BITS = 60
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
-# versions 1 and 2 stored decimal digits (2 as area differences) and version 3
-# had no horizon; all three are refused
-CHECKPOINT_VERSION = 4
+# versions 1 and 2 stored decimal digits (2 as area differences), version 3
+# had no horizon and version 4 stored a cone's bands over a box of areas; all
+# four are refused
+CHECKPOINT_VERSION = 5
 # after the magic: version, parity, depth, band count, limbs per cell,
 # horizon (-1 for a complete layer)
 _CKPT_HEADER = struct.Struct("<IBQQQq")
@@ -127,7 +128,8 @@ def _limbs_to_int(limbs: np.ndarray) -> int:
 class Band:
     """Counts for one height: a dense area band [lo, hi] of limb vectors.
 
-    hi is cap + 1 in a complete layer; a cone layer may cut it lower.
+    hi is cap + 1 in a complete layer; a cone layer may cut it lower and
+    lo higher (`_band_geometry`).
     """
 
     __slots__ = ("lo", "cap", "limbs")
@@ -152,8 +154,8 @@ class Layer:
     """All counts at one recursion depth, one band per height.
 
     horizon is None for a complete layer.  A cone layer holds only the cells
-    that F(horizon, 0, 0) reads, and reads above its cut bands give 0, so it
-    serves no target beyond its horizon.
+    that F(horizon, 0, 0) reads, and reads outside its cut bands give 0, so
+    it serves no target beyond its horizon.
     """
 
     depth: int
@@ -173,24 +175,41 @@ class Layer:
         return sum(band.limbs.nbytes for band in self.bands.values())
 
 
+def cone_reach(k: int, y: int) -> int:
+    """Largest sum of heights y_1 + ... + y_k over k-step walks from 0 to y_k = y.
+
+    The walk climbs while it can, to m = (y + k) // 2, and then descends one
+    unit per step to y.  Reading F(H, 0, 0) back k = H - depth steps reaches
+    (depth, y, a) only for -cone_reach(k, -y) <= a <= cone_reach(k, y).
+    """
+    m = (y + k) // 2
+    return (m * (m + 1) + (k - m) * (2 * y + k - m - 1)) // 2
+
+
 def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
     """(y, lo, cap, hi) of each band at `depth`, in increasing height.
 
     A band stores the areas lo..hi.  With no horizon the layer is complete:
     every reachable height, hi = cap + 1.  With a horizon H only the cells
-    that F(H, 0, 0) reads are kept: k = H - depth steps back from the origin
-    reach |y| <= k and areas up to k(k+1)/2, and a band empty on that range
-    is dropped.  The cone of H holds the cone of every H' < H, since the flat
-    step links (depth, 0, 0) to (depth - 1, 0, 0).
+    that F(H, 0, 0) reads are kept, those within ``cone_reach`` of the
+    origin, and a band empty on that range is dropped.  Clamping lo to at
+    most cap keeps a full band's two period-two representatives, which reads
+    above cap + 1 land on.  A read from a stored cell lands in a stored row,
+    on a representative or below the floor: one more step extends the path.
+    The cone of H holds the cone of every H' < H, since a path may start
+    with flat steps at 0.
     """
-    ylo, yhi, amax = -depth - 1, depth, None
+    ylo, yhi = -depth - 1, depth
     if horizon is not None:
         k = horizon - depth
-        ylo, yhi, amax = max(ylo, -k), min(yhi, k), k * (k + 1) // 2
+        ylo, yhi = max(ylo, -k), min(yhi, k)
     for y in range(ylo, yhi + 1):
         lo = area_floor(y)
         cap = max(0, decrease_cap(depth, y))
-        hi = cap + 1 if amax is None else min(cap + 1, amax)
+        hi = cap + 1
+        if horizon is not None:
+            lo = max(lo, min(-cone_reach(k, -y), cap))
+            hi = min(hi, cone_reach(k, y))
         if lo <= hi:
             yield y, lo, cap, hi
 
@@ -211,7 +230,7 @@ def _read_band_range(bands: dict, y: int, start: int, stop: int, nl: int) -> np.
 
     Reads below the band are zero (boundary / floor pruning).  Reads above a
     full band, one stored up to cap + 1, repeat the two cap representatives
-    by area parity; a cone band is never read above its stored rows.
+    by area parity; a cone band is never read outside its stored rows.
     """
     out = np.zeros((stop - start, nl), dtype=np.int64)
     band = bands.get(y)
@@ -237,14 +256,23 @@ def _read_band_range(bands: dict, y: int, start: int, stop: int, nl: int) -> np.
 
 
 def _carry_normalize(arr: np.ndarray) -> np.ndarray:
+    """Bring every limb of a C-contiguous (cells, limbs) array below 2**LIMB_BITS.
+
+    Each pass runs on the row-major word view, where a cell's top limb is
+    followed by the next cell's bottom one; no carry crosses that seam,
+    since a carry out of a top limb raises OverflowError first.
+    """
+    assert arr.flags.c_contiguous, "a non-contiguous view would be normalized in a copy"
+    words = arr.reshape(-1)
+    top = arr.shape[1] - 1
     while True:
-        carry = arr >> LIMB_BITS
+        carry = words >> LIMB_BITS
         if not carry.any():
             return arr
-        if carry[:, -1].any():
+        if carry[top :: top + 1].any():
             raise OverflowError("carry out of the top limb")
-        arr &= LIMB_MASK
-        arr[:, 1:] += carry[:, :-1]
+        words &= LIMB_MASK
+        words[1:] += carry[:-1]
 
 
 def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int, nl: int) -> Band:

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
     assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
 
 
+def test_count_ondemand_refuses_a_version_4_checkpoint(tmp_path, capsys):
+    path = tmp_path / "even.ckpt"
+    engine.Checkpoint.of(layer_at(5)).save(path)
+    good = path.read_bytes()
+    body = good[:8] + (4).to_bytes(4, "little") + good[12:-4]
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_ARGS and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert "version 4" in line
+
+
 def test_periodic_checkpoints(tmp_path, capsys):
     code = run([
         "count", "--max-n", "9", "--checkpoint-every", "4",
@@ -309,6 +323,16 @@ def test_count_manifest_records_cost_and_versions(tmp_path, capsys):
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
     }
+
+
+def test_count_manifest_records_the_cells_advanced(tmp_path, capsys):
+    assert run(["--run-dir", str(tmp_path), "count", "--max-n", "40"]) == EXIT_OK
+    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    geometry = engine._band_geometry
+    cells = [sum(hi + 1 - lo for _, lo, _, hi in geometry(d, 39)) for d in range(1, 40)]
+    assert entry["cells_advanced"] == sum(cells)
+    limbs = max(c * engine._nlimbs(d) for d, c in enumerate(cells, 1))
+    assert entry["peak_layer_mib"] == round(limbs * 8 / 2**20, 3)
 
 
 def test_count_store_appends(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 import sys
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +13,13 @@ from graphseq import engine, oracle
 from graphseq.engine import (
     Checkpoint,
     CheckpointFormatError,
+    LIMB_BITS,
+    LIMB_MASK,
     MemoryBudgetExceeded,
     Parity,
     advance,
     area_floor,
+    cone_reach,
     count_graphic,
     decrease_cap,
     extend_counts,
@@ -202,6 +206,108 @@ def test_cap_reads_match_reference(parity):
 
 
 # ---------------------------------------------------------------------------
+# the dependence cone
+
+
+def test_cone_reach_is_the_brute_force_sum():
+    # the largest sum climbs while it can and then descends to y
+    for k in range(31):
+        for y in range(-k, k + 1):
+            assert cone_reach(k, y) == sum(min(i, y + k - i) for i in range(1, k + 1)), (k, y)
+
+
+def reachable_sums(max_k):
+    """Bitsets of the sums y_1 + ... + y_k over k-step walks from 0, per (k, y_k)."""
+    offset = max_k * (max_k + 1) // 2  # bit offset + s stands for the sum s
+    sums = [{0: 1 << offset}]
+    for _ in range(max_k):
+        prev = sums[-1]
+        step = {}
+        for y in range(-len(sums), len(sums) + 1):
+            ways = prev.get(y - 1, 0) | prev.get(y, 0) | prev.get(y + 1, 0)
+            step[y] = ways << y if y >= 0 else ways >> -y
+        sums.append(step)
+    return sums, offset
+
+
+def cone_bands(depth, horizon):
+    return {y: (lo, cap, hi) for y, lo, cap, hi in engine._band_geometry(depth, horizon)}
+
+
+@pytest.mark.parametrize("horizon", range(1, 41))
+def test_cone_reads_land_in_stored_rows(horizon):
+    for depth in range(1, horizon + 1):
+        parent = cone_bands(depth - 1, horizon)
+        reachable = {y for y, *_ in engine._band_geometry(depth - 1)}
+        for y, (lo, _, hi) in cone_bands(depth, horizon).items():
+            for yp in (y - 1, y, y + 1):
+                # the reads a + yp for a in lo..hi; those below the floor are 0
+                first, last = max(lo + yp, area_floor(yp)), hi + yp
+                if first > last or yp not in reachable:
+                    continue
+                assert yp in parent, (horizon, depth, y, yp)  # a dropped height
+                plo, pcap, phi = parent[yp]
+                assert plo <= first, (horizon, depth, y, yp)
+                # past hi only a full band answers, from its representatives
+                assert last <= phi or plo <= pcap < phi, (horizon, depth, y, yp)
+
+
+def test_cone_bounds_are_tight():
+    # each kept band runs from the least to the largest sum a backward walk
+    # from (H, 0, 0) reaches, cut to the floor and to the representatives
+    sums, offset = reachable_sums(40)
+    for horizon in range(41):
+        for depth in range(horizon + 1):
+            k = horizon - depth
+            want = {}
+            for y, floor, cap, _ in engine._band_geometry(depth):
+                bits = sums[k].get(y, 0)
+                if bits:
+                    top = bits.bit_length() - 1 - offset
+                    bottom = (bits & -bits).bit_length() - 1 - offset
+                    lo, hi = max(floor, min(bottom, cap)), min(cap + 1, top)
+                    if lo <= hi:
+                        want[y] = (lo, cap, hi)
+            assert cone_bands(depth, horizon) == want, (horizon, depth)
+
+
+def test_cone_of_a_smaller_horizon_lies_inside():
+    for horizon in range(1, 41):
+        for depth in range(horizon + 1):
+            outer = cone_bands(depth, horizon)
+            for y, (lo, cap, hi) in cone_bands(depth, horizon - 1).items():
+                olo, ocap, ohi = outer[y]
+                assert ocap == cap and olo <= lo and hi <= ohi, (horizon, depth, y)
+
+
+# ---------------------------------------------------------------------------
+# limb carries
+
+
+def test_carry_ripples_through_limbs():
+    arr = np.array([[LIMB_MASK + 1, LIMB_MASK, LIMB_MASK, 0], [5, 0, 0, 0]], dtype=np.int64)
+    want = [sum(int(limb) << (LIMB_BITS * i) for i, limb in enumerate(row)) for row in arr]
+    out = engine._carry_normalize(arr)
+    assert out is arr
+    assert arr.tolist() == [[0, 0, 0, 1], [5, 0, 0, 0]]
+    assert [engine._limbs_to_int(row) for row in arr] == want
+
+
+def test_carry_out_of_the_top_limb_raises():
+    for row in ([0, 1 << LIMB_BITS], [LIMB_MASK + 1, LIMB_MASK]):  # direct and rippled
+        with pytest.raises(OverflowError):
+            engine._carry_normalize(np.array([[0, 0], row], dtype=np.int64))
+
+
+def test_carry_refuses_a_non_contiguous_view():
+    arr = np.zeros((4, 6), dtype=np.int64)
+    arr[:, 0] = LIMB_MASK + 1
+    with pytest.raises(AssertionError):
+        engine._carry_normalize(arr[:, ::2])
+    assert (arr[:, 0] == LIMB_MASK + 1).all()
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -248,6 +354,10 @@ def test_checkpoint_version_mismatch(tmp_path):
         path.write_bytes(good[:8] + version.to_bytes(4, "little") + good[12:])
         with pytest.raises(CheckpointFormatError, match=f"version {version}"):
             Checkpoint.load(path)
+    # a version-4 file is refused by its number, not by its checksum
+    path.write_bytes(as_version(good, 4))
+    with pytest.raises(CheckpointFormatError, match="version 4"):
+        Checkpoint.load(path)
     path.write_bytes(b"NOTMAGIC" + good[8:])
     with pytest.raises(CheckpointFormatError):
         Checkpoint.load(path)
@@ -277,6 +387,11 @@ def test_checkpoint_single_byte_corruption(tmp_path):
 def resealed(body):
     """Checkpoint bytes with a fresh checksum, as a consistent writer would leave them."""
     return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def as_version(good, version):
+    """The checkpoint bytes with the header's version replaced, checksum redone."""
+    return resealed(good[:8] + version.to_bytes(4, "little") + good[12:-4])
 
 
 def with_horizon(good, horizon):
