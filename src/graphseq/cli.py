@@ -1,9 +1,9 @@
 """Command-line front end wiring the engine, oracle, walk lab and constants.
 
 Subcommands: count, count-ondemand, oracle, walk, rho, constants, verify.
-Exit codes: 0 success, 1 verification failure, 2 bad arguments or an
-unreadable checkpoint, 3 memory budget reached (``count`` saves a checkpoint
-of the last layer reached first).
+Exit codes: 0 success, 1 verification failure, 2 bad arguments, an
+unreadable checkpoint or an unusable --run-dir or --checkpoint-dir, 3 memory
+budget reached (``count`` saves a checkpoint of the last layer reached first).
 """
 
 from __future__ import annotations
@@ -71,18 +71,28 @@ def parse_csv_counts(text: str) -> list:
     return rows
 
 
+class UnusableDirectory(Exception):
+    """A --run-dir or --checkpoint-dir that cannot be created or read."""
+
+
 class RunStore:
     """Plain-file results store: appended output files plus a manifest."""
 
     def __init__(self, root):
         self.started = time.monotonic()
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.root / "manifest.json"
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
-        else:
-            self.manifest = {"runs": []}
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            if self.manifest_path.exists():
+                self.manifest = json.loads(self.manifest_path.read_text())
+                if not isinstance(self.manifest, dict) or not isinstance(
+                        self.manifest.get("runs"), list):
+                    raise ValueError("manifest.json holds no list of runs")
+            else:
+                self.manifest = {"runs": []}
+        except (OSError, ValueError) as exc:
+            raise UnusableDirectory(f"cannot use --run-dir {root}: {exc}") from exc
 
     def record(self, command: str, config: dict, outputs: list, **fields) -> None:
         """Add a run: elapsed time since the store was opened, peak RSS, versions.
@@ -139,7 +149,10 @@ def _config(args) -> dict:
 def _checkpoint_dir(args) -> Path:
     raw = args.checkpoint_dir or os.environ.get("GRAPHSEQ_CHECKPOINT_DIR") or "."
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnusableDirectory(f"cannot use --checkpoint-dir {raw}: {exc}") from exc
     return path
 
 
@@ -157,6 +170,9 @@ def _counts(max_n: int, parity, memory_limit: int | None = None, complete: bool 
 
 def cmd_count(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
+    # resolved before any layer is advanced, so an unusable one costs no work
+    can_save = args.checkpoint_every is not None or args.memory_limit is not None
+    ckpt_dir = _checkpoint_dir(args) if can_save else None
     want_h = args.format == "csv"
     limit = args.memory_limit
     if want_h and limit is not None:
@@ -178,7 +194,7 @@ def cmd_count(args) -> int:
             yield (n, g, h) if want_h else (n, g)
             # runs once the row's line is printed, as the consumer asks for the next
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
-                _save_checkpoint(layer, _checkpoint_dir(args))
+                _save_checkpoint(layer, ckpt_dir)
             if cost is not None and layer.depth:  # the depth-0 start is not advanced
                 cost["cells_advanced"] += sum(
                     len(band.limbs) for each in layers for band in each.bands.values())
@@ -191,7 +207,7 @@ def cmd_count(args) -> int:
             lines_out.append(line)
             print(line, flush=True)
     except engine.MemoryBudgetExceeded as exc:
-        path = _save_checkpoint(exc.layer, _checkpoint_dir(args))
+        path = _save_checkpoint(exc.layer, ckpt_dir)
         print(
             f"memory budget reached at depth {exc.depth}: "
             f"checkpointed depth {exc.layer.depth} to {path}",
@@ -279,10 +295,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_walk(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
-    end = walklab.End.ZERO if args.end == "zero" else walklab.End.ZERO_OR_MINUS_ONE
     shards = len(walklab.mc_shard_layout(args.samples, args.batch))
     estimate, stderr = walklab.persistence_mc(
-        args.n, args.samples, end=end, seed=args.seed,
+        args.n, args.samples, end=args.end, seed=args.seed,
         workers=args.workers, batch=args.batch,
     )
     scaled = estimate * args.n**0.25
@@ -294,7 +309,7 @@ def cmd_walk(args) -> int:
     ]
     if args.exact:
         if args.n <= walklab.EXACT_LIMIT:
-            exact = walklab.persistence_exact(args.n, end)
+            exact = walklab.persistence_exact(args.n, args.end)
             lines.append(f"# exact={exact} ({float(exact):.9f})")
         else:
             print(f"# exact mode needs n <= {walklab.EXACT_LIMIT}; skipped",
@@ -422,7 +437,7 @@ def cmd_verify(args) -> int:
             band = layer.bands[y]
             for a in range(band.cap, band.cap + 5):
                 got = layer.value(y, a)
-                want = _reference_count(8, y, a, engine.Parity.EVEN)
+                want = oracle.reference_count(8, y, a, engine.Parity.EVEN)
                 eq(got, want, f"cap read ({y}, {a})")
 
     def mc_determinism():
@@ -566,27 +581,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _reference_count(depth: int, y: int, a: int, parity) -> int:
-    """Cap-free recursion straight from the definition; for verification only."""
-    memo = {}
-
-    def rec(k, yy, aa):
-        if aa < 0 or yy > k or yy < -k - 1:
-            return 0
-        if k == 0:
-            return 1 if yy in (0, -1) and (aa & 1) == parity else 0
-        key = (k, yy, aa)
-        if key not in memo:
-            memo[key] = (
-                rec(k - 1, yy + 1, aa + yy + 1)
-                + rec(k - 1, yy - 1, aa + yy - 1)
-                + 2 * rec(k - 1, yy, aa + yy)
-            )
-        return memo[key]
-
-    return rec(depth, y, a)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -711,7 +705,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_coeff_order(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnusableDirectory as exc:
+        return _fail(args.command, str(exc), EXIT_BAD_ARGS)
 
 
 def main() -> None:

@@ -266,6 +266,35 @@ def brute_counts_naive(n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the layer recursion from its definition
+
+
+def reference_count(depth: int, y: int, a: int, parity: int) -> int:
+    """F(depth, y, a) of the engine's recursion, cap-free, memoized per call.
+
+    Straight from the definition in :mod:`graphseq.engine`: no caps, no
+    limbs, no bands, so it checks the engine's reads at and above a cap.
+    """
+    memo: dict = {}
+
+    def rec(k: int, yy: int, aa: int) -> int:
+        if aa < 0 or yy > k or yy < -k - 1:
+            return 0
+        if k == 0:
+            return 1 if yy in (0, -1) and (aa & 1) == parity else 0
+        key = (k, yy, aa)
+        if key not in memo:
+            memo[key] = (
+                rec(k - 1, yy + 1, aa + yy + 1)
+                + rec(k - 1, yy - 1, aa + yy - 1)
+                + 2 * rec(k - 1, yy, aa + yy)
+            )
+        return memo[key]
+
+    return rec(depth, y, a)
+
+
+# ---------------------------------------------------------------------------
 # ballot arrangements
 
 

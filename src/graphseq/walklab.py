@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -38,52 +37,59 @@ def _end_states(end: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact persistence
+# the (height, integral) grid and exact persistence
 
 
-def _path_weights(n: int, nonnegative: bool = False) -> dict:
-    """(height, integral) -> total weight of the n-step lazy paths ending there.
+def _walk_grid(n: int, dtype=object, nonnegative: bool = False) -> np.ndarray:
+    """w[y + n, a + n(n+1)/2] = weight of the n-step lazy paths ending at (y, a).
 
     A path weighs 2**(number of flat steps) out of a total 4**n; with
     `nonnegative` only paths whose running integrals all stay >= 0 count.
+    The weights are Python ints in an object array, or float64.  Each row is
+    summed as below + above + 2 * itself, so the float grid times 4.0**-n is
+    the per-step-scaled recursion bit for bit (every intermediate differs from
+    it by a power of two) and mirrors exactly under (y, a) -> (-y, -a).
     """
-    states = {(0, 0): 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for (y, a), w in states.items():
-            for step, mult in ((1, 1), (-1, 1), (0, 2)):
-                y2 = y + step
-                a2 = a + y2
-                if nonnegative and a2 < 0:
-                    continue
-                nxt[(y2, a2)] = nxt.get((y2, a2), 0) + w * mult
-        states = nxt
-    return states
+    amax = n * (n + 1) // 2
+    # one zero row pads each end, so the rows next to |y| = n read no wrap
+    w = np.zeros((2 * n + 3, 2 * amax + 1), dtype=dtype)
+    w[n + 1, amax] = 1
+    for k in range(1, n + 1):
+        nxt = np.zeros_like(w)
+        for y in range(-k, k + 1):  # step k reaches heights |y| <= k only
+            i = y + n + 1
+            row = w[i - 1] + w[i + 1] + 2 * w[i]
+            # a step that ends at height y adds y to the integral
+            if y >= 0:
+                nxt[i, y:] = row[:row.size - y]
+            else:
+                nxt[i, :y] = row[-y:]
+        if nonnegative:
+            nxt[:, :amax] = 0
+        w = nxt
+    return w[1:-1]
 
 
 def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
     """P(all running integrals >= 0 | walk of n lazy steps ends as required).
 
-    Exact, by integer-weighted dynamic programming over (height, integral):
-    the conditional probability is a ratio of two weighted path counts.
+    Exact: the weight of the non-negative paths ending as required, from the
+    (height, integral) grid, over the weight of all paths ending so.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXACT_LIMIT:
         raise ValueError(f"exact mode supports n <= {EXACT_LIMIT}")
-    ends = _end_states(end)
-
-    def weighted(nonnegative: bool) -> int:
-        return sum(w for (y, _), w in _path_weights(n, nonnegative).items() if y in ends)
-
-    return Fraction(weighted(True), weighted(False))
+    grid = _walk_grid(n, nonnegative=True)
+    kept = sum(int(grid[y + n].sum()) for y in _end_states(end))
+    return Fraction(kept, end_weight(n, end))
 
 
 def end_weight(n: int, end: str) -> int:
     """Total path weight with the end condition: C(2n, n) or C(2n+1, n).
 
-    This is the coupling identity used by the samplers; tests compare it with
-    the DP denominator inside persistence_exact.
+    These are the simple-walk paths of length 2n or 2n+1 that the coupling
+    maps onto the lazy paths; persistence_exact divides by this weight.
     """
     if end == End.ZERO:
         return math.comb(2 * n, n)
@@ -171,36 +177,6 @@ def persistence_mc(
     return p, stderr
 
 
-@dataclass
-class BridgeSampler:
-    """Uniform bridge sampler; `sample()` returns the position sequence.
-
-    kind "lazy": n lazy steps conditioned to end at 0, realized as half the
-    even-time positions of a shuffled 2n-step simple bridge.  kind "simple":
-    the 2n-step simple bridge itself.
-    """
-
-    n: int
-    kind: str = "lazy"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("lazy", "simple"):
-            raise ValueError(f"unknown walk kind {self.kind!r}")
-        self._rng = np.random.default_rng(self.seed)
-
-    def sample(self) -> np.ndarray:
-        steps = np.concatenate([
-            np.ones(self.n, dtype=np.int64),
-            -np.ones(self.n, dtype=np.int64),
-        ])
-        self._rng.shuffle(steps)
-        positions = np.cumsum(steps)
-        if self.kind == "simple":
-            return positions
-        return positions[1::2] // 2
-
-
 # ---------------------------------------------------------------------------
 # returns to zero
 
@@ -245,19 +221,16 @@ def bridge_return_counts(n: int) -> list:
 class JointTable:
     """Joint law of (Y_n, A_n) for the unconditioned lazy walk.
 
-    Exact rationals up to length RATIONAL_JOINT_LIMIT, float64 beyond; both
-    representations are exactly symmetric under (a, b) -> (-a, -b).
+    Built from the `_walk_grid` weights: exact rationals when they are Python
+    ints, float64 otherwise; both are exactly symmetric under (a, b) -> (-a, -b).
     """
 
-    def __init__(self, n: int, grid: np.ndarray, exact: dict | None):
+    def __init__(self, n: int, weights: np.ndarray):
         self.n = n
-        self._grid = grid  # float64, shape (2n+1, n(n+1)+1); [y+n, b+amax]
-        self._exact = exact  # dict (a, b) -> Fraction, or None
         self.amax = n * (n + 1) // 2
-
-    @property
-    def exact(self) -> bool:
-        return self._exact is not None
+        self.exact = weights.dtype == object
+        self._weights = weights if self.exact else None  # float ones are _grid * 4**n
+        self._grid = np.asarray(weights, dtype=float) * 4.0**-n  # [y+n, b+amax]
 
     def prob(self, a: int, b: int) -> float:
         if abs(a) > self.n or abs(b) > self.amax:
@@ -265,9 +238,11 @@ class JointTable:
         return float(self._grid[a + self.n, b + self.amax])
 
     def prob_exact(self, a: int, b: int) -> Fraction:
-        if self._exact is None:
+        if not self.exact:
             raise ValueError("table was built in float mode")
-        return self._exact.get((a, b), Fraction(0))
+        if abs(a) > self.n or abs(b) > self.amax:
+            return Fraction(0)
+        return Fraction(self._weights[a + self.n, b + self.amax], 4**self.n)
 
     def items(self) -> Iterator[tuple]:
         ys, bs = np.nonzero(self._grid)
@@ -278,42 +253,12 @@ class JointTable:
         return float(self._grid.sum())
 
 
-def _joint_grid_float(n: int) -> np.ndarray:
-    amax = n * (n + 1) // 2
-    width, area_len = 2 * n + 1, 2 * amax + 1
-    cur = np.zeros((width, area_len))
-    cur[n, amax] = 1.0
-    zero_row = np.zeros(area_len)
-    for k in range(1, n + 1):
-        nxt = np.zeros_like(cur)
-        for yi in range(n - k, n + k + 1):
-            y = yi - n
-            below = cur[yi - 1] if yi - 1 >= 0 else zero_row
-            above = cur[yi + 1] if yi + 1 < width else zero_row
-            mixed = 0.25 * below + 0.25 * above + 0.5 * cur[yi]
-            if y > 0:
-                nxt[yi, y:] = mixed[:-y]
-            elif y < 0:
-                nxt[yi, :y] = mixed[-y:]
-            else:
-                nxt[yi] = mixed
-        cur = nxt
-    return cur
-
-
 def joint_dist(n: int) -> JointTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 220:
         raise ValueError("joint law limited to n <= 220")
-    if n <= RATIONAL_JOINT_LIMIT:
-        exact = {k: Fraction(w, 4**n) for k, w in _path_weights(n).items()}
-        amax = n * (n + 1) // 2
-        grid = np.zeros((2 * n + 1, 2 * amax + 1))
-        for (a, b), w in exact.items():
-            grid[a + n, b + amax] = float(w)
-        return JointTable(n, grid, exact)
-    return JointTable(n, _joint_grid_float(n), None)
+    return JointTable(n, _walk_grid(n, object if n <= RATIONAL_JOINT_LIMIT else float))
 
 
 def llt_density(x, y):

@@ -290,6 +290,41 @@ def test_periodic_checkpoints(tmp_path, capsys):
     ]
 
 
+def unusable_dir_failure(capsys, argv):
+    """Exit code and the one stderr line of a run refused before any output."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    return code, line
+
+
+def test_run_dir_naming_a_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "results"
+    path.write_text("")
+    code, line = unusable_dir_failure(capsys, ["--run-dir", str(path), "count", "--max-n", "5"])
+    assert code == EXIT_BAD_ARGS
+    assert line.startswith(f"graphseq count: cannot use --run-dir {path}: ")
+
+
+@pytest.mark.parametrize("manifest", ["{not json", "[]"])
+def test_run_dir_with_a_damaged_manifest_exits_two(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    argv = ["--run-dir", str(tmp_path), "walk", "--n", "5", "--samples", "100"]
+    code, line = unusable_dir_failure(capsys, argv)
+    assert code == EXIT_BAD_ARGS
+    assert line.startswith(f"graphseq walk: cannot use --run-dir {tmp_path}: ")
+
+
+def test_checkpoint_dir_naming_a_file_exits_two_before_any_row(tmp_path, capsys):
+    path = tmp_path / "ckpts"
+    path.write_text("")
+    argv = ["count", "--max-n", "12", "--checkpoint-every", "5", "--checkpoint-dir", str(path)]
+    code, line = unusable_dir_failure(capsys, argv)
+    assert code == EXIT_BAD_ARGS
+    assert line.startswith(f"graphseq count: cannot use --checkpoint-dir {path}: ")
+
+
 def test_walk_reproducible_output(capsys):
     args = ["walk", "--n", "30", "--samples", "40000", "--seed", "17", "--exact"]
     assert run(args) == EXIT_OK

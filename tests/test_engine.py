@@ -25,6 +25,7 @@ from graphseq.engine import (
     extend_counts,
     initial_layer,
 )
+from graphseq.oracle import reference_count
 
 
 def layer_at(depth, parity=Parity.EVEN, horizon=None):
@@ -40,25 +41,6 @@ def count_rows(layer, max_n, **kwargs):
 
 def counts(max_n, parity=Parity.EVEN, **kwargs):
     return [v for _, v in count_rows(initial_layer(parity), max_n, **kwargs)]
-
-
-_REFERENCE_MEMO = {}
-
-
-def reference_count(depth, y, a, parity):
-    """Cap-free memoized recursion straight from the definition."""
-    if a < 0 or y > depth or y < -depth - 1:
-        return 0
-    if depth == 0:
-        return 1 if y in (0, -1) and (a & 1) == parity else 0
-    key = (depth, y, a, parity)
-    if key not in _REFERENCE_MEMO:
-        _REFERENCE_MEMO[key] = (
-            reference_count(depth - 1, y + 1, a + y + 1, parity)
-            + reference_count(depth - 1, y - 1, a + y - 1, parity)
-            + 2 * reference_count(depth - 1, y, a + y, parity)
-        )
-    return _REFERENCE_MEMO[key]
 
 
 # ---------------------------------------------------------------------------

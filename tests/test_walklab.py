@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphseq.walklab import (
-    BridgeSampler,
+    _walk_grid,
     End,
     bridge_return_counts,
     end_weight,
@@ -54,6 +54,37 @@ def test_persistence_end_weights_match_binomials():
         assert end_either == end_weight(n, End.ZERO_OR_MINUS_ONE) == math.comb(2 * n + 1, n)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("end", [End.ZERO, End.ZERO_OR_MINUS_ONE])
+def test_persistence_exact_matches_brute_force(n, end):
+    # every lazy path weighs 2**(flat steps); the ratio keeps the end condition
+    ends = (0,) if end == End.ZERO else (0, -1)
+    kept = total = 0
+    for pos in enumerate_lazy_paths(n):
+        if pos[-1] not in ends:
+            continue
+        weight = 2 ** sum(1 for a, b in zip((0,) + pos, pos) if a == b)
+        total += weight
+        area = 0
+        for y in pos:
+            area += y
+            if area < 0:
+                break
+        else:
+            kept += weight
+    assert persistence_exact(n, end) == Fraction(kept, total)
+
+
+@pytest.mark.parametrize("n", range(20, 33))
+def test_walk_grid_float_agrees_with_exact(n):
+    exact = _walk_grid(n)
+    approx = _walk_grid(n, float)
+    assert approx.shape == exact.shape
+    for (yi, ai), w in np.ndenumerate(exact):
+        # the float weights are integers too, so the comparison is exact
+        assert abs(int(approx[yi, ai]) - w) * 2**52 <= w
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_end_condition_ratio_bounds(n):
     ratio = persistence_exact(n, End.ZERO_OR_MINUS_ONE) / persistence_exact(n, End.ZERO)
@@ -87,16 +118,6 @@ def test_mc_reproducible_and_worker_independent():
 def test_mc_shard_layout():
     assert mc_shard_layout(10, 4) == [4, 4, 2]
     assert mc_shard_layout(3, 10) == [3]
-
-
-def test_bridge_sampler_shapes():
-    lazy = BridgeSampler(20, "lazy", seed=2).sample()
-    assert len(lazy) == 20 and lazy[-1] == 0
-    assert all(abs(int(a) - int(b)) <= 1 for a, b in zip(lazy, lazy[1:]))
-    simple = BridgeSampler(20, "simple", seed=2).sample()
-    assert len(simple) == 40 and simple[-1] == 0
-    with pytest.raises(ValueError):
-        BridgeSampler(5, "bogus")
 
 
 # ---------------------------------------------------------------------------
