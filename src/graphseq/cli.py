@@ -673,7 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--end", choices=("zero", "either"), default="zero")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=_positive_int, default=200_000)
+    p.add_argument("--batch", type=_positive_int, default=200_000,
+                   help="samples per shard; fixes the shard layout, and with it "
+                        "the estimate, whatever --workers is")
     p.add_argument("--exact", action="store_true",
                    help="also print the exact value (small n only)")
     p.set_defaults(func=cmd_walk)

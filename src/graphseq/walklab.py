@@ -107,7 +107,9 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
     2n+1 for the {0,-1} end) +/-1 sub-steps form a fixed multiset drawn
     sequentially two at a time with exact urn probabilities.  Within a pair
     the order never affects even-time positions, so one integer draw decides
-    each lazy step: up-up, one-of-each, or down-down.
+    each lazy step: up-up, one-of-each, or down-down.  A bridge leaves the
+    batch at the step its integral goes negative, so each later step draws
+    only for the survivors; the count is the number left after n steps.
     """
     rng = np.random.default_rng(seed_seq)
     if end == End.ZERO:
@@ -117,11 +119,10 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
     remaining_up = np.full(shard_samples, ups, dtype=np.int64)
     height = np.zeros(shard_samples, dtype=np.int32)
     integral = np.zeros(shard_samples, dtype=np.int64)
-    ok = np.ones(shard_samples, dtype=bool)
     rem_tot = total
     for _ in range(n):
         bound = rem_tot * (rem_tot - 1)
-        draw = rng.integers(0, bound, size=shard_samples, dtype=np.int64)
+        draw = rng.integers(0, bound, size=integral.size, dtype=np.int64)
         rem_down = rem_tot - remaining_up
         both_up = remaining_up * (remaining_up - 1)
         not_both_down = both_up + 2 * remaining_up * rem_down
@@ -132,9 +133,15 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
         remaining_up -= is_up
         remaining_up -= not_down
         integral += height
-        ok &= integral >= 0
         rem_tot -= 2
-    return int(np.count_nonzero(ok))
+        alive = integral >= 0
+        if not alive.all():
+            remaining_up = remaining_up[alive]
+            height = height[alive]
+            integral = integral[alive]
+            if not integral.size:
+                break
+    return integral.size
 
 
 def mc_shard_layout(samples: int, batch: int) -> list:
@@ -159,7 +166,9 @@ def persistence_mc(
 
     Bridges are sampled directly under the end conditioning (no rejection),
     one shard per batch with an RNG stream spawned from (seed, shard index);
-    results are bit-identical for any worker count.
+    a bridge leaves its batch at the step its integral goes negative.  A
+    shard's draws depend only on its own stream, so results are bit-identical
+    for any worker count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

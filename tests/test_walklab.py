@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graphseq import engine
 from graphseq.walklab import (
+    _mc_shard,
     _walk_grid,
     End,
     bridge_return_counts,
@@ -91,6 +93,20 @@ def test_end_condition_ratio_bounds(n):
     assert Fraction(1, 2) <= ratio <= 1
 
 
+def engine_persistence(n):
+    """(G(n+1) + H(n+1)) / C(2n+1, n): exact persistence with the {0, -1} end."""
+    g, h = (
+        list(engine.extend_counts(engine.initial_layer(parity), n + 1))[-1][1]
+        for parity in (engine.Parity.EVEN, engine.Parity.ODD)
+    )
+    return Fraction(g + h, math.comb(2 * n + 1, n))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_persistence_exact_equals_engine_counts(n):
+    assert persistence_exact(n, End.ZERO_OR_MINUS_ONE) == engine_persistence(n)
+
+
 def test_persistence_rejects_large_n():
     with pytest.raises(ValueError):
         persistence_exact(50)
@@ -106,6 +122,20 @@ def test_mc_agrees_with_exact(n, end):
     exact = float(persistence_exact(n, end))
     estimate, stderr = persistence_mc(n, 120_000, end=end, seed=1000 + n)
     assert abs(estimate - exact) <= 3 * stderr + 1e-12
+
+
+def test_mc_agrees_with_engine_far_past_exact_limit():
+    # at n = 100 most bridges leave their batch within the first steps
+    exact = float(engine_persistence(100))
+    assert abs(exact - 0.206555) < 1e-6
+    estimate, stderr = persistence_mc(100, 400_000, end=End.ZERO_OR_MINUS_ONE, seed=100)
+    assert abs(estimate - exact) <= 4 * stderr
+
+
+def test_mc_shard_in_which_every_bridge_dies():
+    hits = [_mc_shard(200, 1, End.ZERO, np.random.SeedSequence(s)) for s in range(20)]
+    assert set(hits) <= {0, 1}
+    assert 0 in hits
 
 
 def test_mc_reproducible_and_worker_independent():
