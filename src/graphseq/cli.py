@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -529,11 +530,9 @@ def cmd_verify(args) -> int:
         assert abs(est - exact) <= 3 * se, f"mc off: {est} vs {exact}"
         for n in range(1, 6):
             counts = walklab.bridge_return_counts(n)
-            import math as _m
-
             for k in range(n + 1):
                 eq(walklab.returns_tail(n, k),
-                   Fraction(counts[k], _m.comb(2 * n, n)), f"returns({n},{k})")
+                   Fraction(counts[k], math.comb(2 * n, n)), f"returns({n},{k})")
 
     def llt():
         e16, e64 = walklab.llt_error(16), walklab.llt_error(64)
@@ -585,19 +584,14 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _int_in(lo: int, hi: int):
-    """An argparse type for the integers lo..hi."""
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for the integers lo..hi, or >= lo with no hi."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if not lo <= value <= hi:
+        if hi is None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"must lie in {lo}..{hi}, got {value}")
         return value
 
@@ -605,15 +599,8 @@ def _int_in(lo: int, hi: int):
     return parse
 
 
-def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"grid size must be >= 2, got {value}")
-    return value
-
-
 def _grid_list(text: str) -> list:
-    grids = [_grid_size(v) for v in text.split(",")]
+    grids = [_int_in(2)(v) for v in text.split(",")]
     if len(grids) < 2 or len(set(grids)) != len(grids):
         raise argparse.ArgumentTypeError(f"need at least two distinct grids, got {text!r}")
     return grids
@@ -638,23 +625,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact graphic-sequence counts and their growth constants.",
     )
     parser.add_argument("--run-dir", help="directory for the plain-file results store")
-    parser.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+    parser.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1,
                         help="worker threads for the Monte Carlo shards of walk")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="stream exact counts while advancing layers")
-    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--max-n", type=_int_in(1), required=True)
     p.add_argument("--format", choices=("bfile", "csv"), default="bfile")
-    p.add_argument("--memory-limit", type=_positive_int, default=None,
+    p.add_argument("--memory-limit", type=_int_in(1), default=None,
                    help="byte ceiling; on breach checkpoint and exit 3")
-    p.add_argument("--checkpoint-every", type=_positive_int, default=None, metavar="DEPTH")
+    p.add_argument("--checkpoint-every", type=_int_in(1), default=None, metavar="DEPTH")
     p.add_argument("--checkpoint-dir", default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("count-ondemand", help="extend counts from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target-n", type=int, required=True)
-    p.add_argument("--memory-limit", type=_positive_int, default=None,
+    p.add_argument("--memory-limit", type=_int_in(1), default=None,
                    help="byte ceiling, the loaded checkpoint included; on breach exit 3")
     p.set_defaults(func=cmd_count_ondemand)
 
@@ -664,24 +651,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
     p.add_argument("--ballot", type=_int_in(0, oracle.BALLOT_LIMIT), default=0, metavar="N",
                    help="also report ballot counts up to this n")
-    p.add_argument("--ballot-vectors", type=_positive_int, default=20)
+    p.add_argument("--ballot-vectors", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("walk", help="bridge persistence estimates")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--n", type=_int_in(1), required=True)
+    p.add_argument("--samples", type=_int_in(1), default=1_000_000)
     p.add_argument("--end", choices=("zero", "either"), default="zero")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=_positive_int, default=200_000,
+    p.add_argument("--batch", type=_int_in(1), default=200_000,
                    help="samples per shard; fixes the shard layout, and with it "
                         "the estimate, whatever --workers is")
     p.add_argument("--exact", action="store_true",
-                   help="also print the exact value (small n only)")
+                   help=f"also print the exact value (n <= {walklab.EXACT_LIMIT})")
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("rho", help="absorbing-chain bounds and extrapolation")
-    p.add_argument("--grid", type=_grid_size, action="append", metavar="N")
+    p.add_argument("--grid", type=_int_in(2), action="append", metavar="N")
     p.add_argument("--coeff-order", type=int, default=None, metavar="K")
     p.add_argument("--kind", choices=("lazy", "simple"), default="lazy")
     p.add_argument("--exact", action="store_true",

@@ -338,7 +338,7 @@ def _toeplitz_product(spectrum, h):
     return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[: len(h)]
 
 
-def _sweep_solve(spectrum, rhs, diag, tol, amalg_extra=None):
+def _sweep_solve(spectrum, rhs, diag, amalg_extra=None):
     h = np.zeros(len(rhs), dtype=LONG)
     m = len(rhs)
     for sweep in range(MAX_SWEEPS):
@@ -348,10 +348,10 @@ def _sweep_solve(spectrum, rhs, diag, tol, amalg_extra=None):
         h_next = (rhs + interior) / diag
         residual = float(np.max(np.abs(h_next - h)))
         h = h_next
-        if residual < tol:
+        if residual < DEFAULT_SWEEP_TOL:
             return h, sweep + 1
     raise ChainConvergenceError(
-        f"no convergence to {tol} within {MAX_SWEEPS} sweeps (n = {m + 1})"
+        f"no convergence to {DEFAULT_SWEEP_TOL} within {MAX_SWEEPS} sweeps (n = {m + 1})"
     )
 
 
@@ -375,9 +375,7 @@ def _sub_solution(h, p, rhs, diag):
     return np.zeros_like(h)
 
 
-def chain_hitting_iterative(
-    n: int, pmf: AreaPmf, amalgamate: bool = False, tol: float = DEFAULT_SWEEP_TOL
-) -> dict:
+def chain_hitting_iterative(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
     """Hitting probabilities by diagonally-preconditioned Jacobi sweeps.
 
     The iterative solver of the same chain, in long doubles.  The interior
@@ -395,10 +393,10 @@ def chain_hitting_iterative(
     b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
     diag = LONG(1.0) - zero_mass
     if amalgamate:
-        h_zero, sweeps = _sweep_solve(spectrum, b_zero, diag, tol, amalg_extra=b_star)
+        h_zero, sweeps = _sweep_solve(spectrum, b_zero, diag, amalg_extra=b_star)
         return {"zero": h_zero, "sweeps": sweeps}
-    h_zero, s1 = _sweep_solve(spectrum, b_zero, diag, tol)
-    h_minus, s2 = _sweep_solve(spectrum, b_minus, diag, tol)
+    h_zero, s1 = _sweep_solve(spectrum, b_zero, diag)
+    h_minus, s2 = _sweep_solve(spectrum, b_minus, diag)
     return {
         "zero": _sub_solution(h_zero, p, b_zero, diag),
         "minus": _sub_solution(h_minus, p, b_minus, diag),
@@ -434,7 +432,7 @@ def _rounded(x, toward: float) -> float:
     return out
 
 
-def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstimate:
+def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     """Rigorous bounds: P(hit 0) <= rho <= 1 - P(hit '-'), from the start 0.
 
     Positive tail mass is routed to '*' and negative tail mass to '-', which
@@ -446,7 +444,7 @@ def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstim
     """
     ChainSpec(n, pmf)  # validates the grid/truncation contract
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
-    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf, tol=tol)
+    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     lower = zero_mass + np.dot(p[1:n], h["zero"])
     to_minus = sign + np.dot(p[1:n], h["minus"])
@@ -459,7 +457,7 @@ def rho_bounds(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstim
     )
 
 
-def rho_amalgamated(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> RhoEstimate:
+def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
     """Point estimate with states n-1 and '*' merged; NOT a rigorous bound.
 
     Merging is only sound if the hit-zero probability decreases in the start
@@ -470,7 +468,7 @@ def rho_amalgamated(n: int, pmf: AreaPmf, tol: float = DEFAULT_SWEEP_TOL) -> Rho
     if exact:
         h = chain_hitting_exact(n, pmf, amalgamate=True)
     else:
-        h = chain_hitting_iterative(n, pmf, amalgamate=True, tol=tol)
+        h = chain_hitting_iterative(n, pmf, amalgamate=True)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     start_star = _landing_masses(n, p, sign)[1][0]
     est = zero_mass + np.dot(p[1:n], h["zero"]) + start_star * h["zero"][n - 2]

@@ -17,7 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
-EXACT_LIMIT = 20          # persistence_exact beyond this is pointless
+from . import engine
+
+EXACT_LIMIT = 300         # persistence_exact(300) takes about 10 s on 2 vCPUs
 RATIONAL_JOINT_LIMIT = 32  # joint law switches to float64 above this length
 
 
@@ -37,51 +39,32 @@ def _end_states(end: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the (height, integral) grid and exact persistence
-
-
-def _walk_grid(n: int, dtype=object, nonnegative: bool = False) -> np.ndarray:
-    """w[y + n, a + n(n+1)/2] = weight of the n-step lazy paths ending at (y, a).
-
-    A path weighs 2**(number of flat steps) out of a total 4**n; with
-    `nonnegative` only paths whose running integrals all stay >= 0 count.
-    The weights are Python ints in an object array, or float64.  Each row is
-    summed as below + above + 2 * itself, so the float grid times 4.0**-n is
-    the per-step-scaled recursion bit for bit (every intermediate differs from
-    it by a power of two) and mirrors exactly under (y, a) -> (-y, -a).
-    """
-    amax = n * (n + 1) // 2
-    # one zero row pads each end, so the rows next to |y| = n read no wrap
-    w = np.zeros((2 * n + 3, 2 * amax + 1), dtype=dtype)
-    w[n + 1, amax] = 1
-    for k in range(1, n + 1):
-        nxt = np.zeros_like(w)
-        for y in range(-k, k + 1):  # step k reaches heights |y| <= k only
-            i = y + n + 1
-            row = w[i - 1] + w[i + 1] + 2 * w[i]
-            # a step that ends at height y adds y to the integral
-            if y >= 0:
-                nxt[i, y:] = row[:row.size - y]
-            else:
-                nxt[i, :y] = row[-y:]
-        if nonnegative:
-            nxt[:, :amax] = 0
-        w = nxt
-    return w[1:-1]
+# exact persistence, from the engine's counts
 
 
 def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
     """P(all running integrals >= 0 | walk of n lazy steps ends as required).
 
-    Exact: the weight of the non-negative paths ending as required, from the
-    (height, integral) grid, over the weight of all paths ending so.
+    Exact, from the engine: F(n, 0, 0) of :mod:`graphseq.engine`, summed over
+    both starting parities, is the weight of the n-step lazy paths from 0
+    that end in {0, -1} with every running integral >= 0.  For the {0} end
+    the depth-0 layer keeps only its band at height 0.  The engine's caps
+    and floors were derived for walks ending in {0, -1}; they stay valid for
+    the subset that ends at 0, since no such walk can lose more area, or
+    need less, than the larger set allows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXACT_LIMIT:
         raise ValueError(f"exact mode supports n <= {EXACT_LIMIT}")
-    grid = _walk_grid(n, nonnegative=True)
-    kept = sum(int(grid[y + n].sum()) for y in _end_states(end))
+    ends = _end_states(end)
+    kept = 0
+    for parity in engine.Parity:
+        bands = engine.initial_layer(parity).bands
+        start = engine.Layer(0, parity, {y: band for y, band in bands.items() if y in ends})
+        for _, count, _ in engine.extend_counts(start, n + 1):
+            pass
+        kept += count
     return Fraction(kept, end_weight(n, end))
 
 
@@ -175,12 +158,8 @@ def persistence_mc(
     _end_states(end)
     sizes = mc_shard_layout(samples, batch)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    if workers <= 1 or len(sizes) == 1:
-        hits = sum(_mc_shard(n, sz, end, ss) for sz, ss in zip(sizes, seeds))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda t: _mc_shard(n, t[0], end, t[1]),
-                                zip(sizes, seeds)))
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(sizes)))) as pool:
+        hits = sum(pool.map(lambda sz, ss: _mc_shard(n, sz, end, ss), sizes, seeds))
     p = hits / samples
     stderr = math.sqrt(p * (1 - p) / samples)
     return p, stderr
@@ -225,6 +204,33 @@ def bridge_return_counts(n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # joint law of (position, integral) and the local limit
+
+
+def _walk_grid(n: int, dtype=object) -> np.ndarray:
+    """w[y + n, a + n(n+1)/2] = weight of the n-step lazy paths ending at (y, a).
+
+    A path weighs 2**(number of flat steps) out of a total 4**n.  The weights
+    are Python ints in an object array, or float64.  Each row is summed as
+    below + above + 2 * itself, so the float grid times 4.0**-n is the
+    per-step-scaled recursion bit for bit (every intermediate differs from it
+    by a power of two) and mirrors exactly under (y, a) -> (-y, -a).
+    """
+    amax = n * (n + 1) // 2
+    # one zero row pads each end, so the rows next to |y| = n read no wrap
+    w = np.zeros((2 * n + 3, 2 * amax + 1), dtype=dtype)
+    w[n + 1, amax] = 1
+    for k in range(1, n + 1):
+        nxt = np.zeros_like(w)
+        for y in range(-k, k + 1):  # step k reaches heights |y| <= k only
+            i = y + n + 1
+            row = w[i - 1] + w[i + 1] + 2 * w[i]
+            # a step that ends at height y adds y to the integral
+            if y >= 0:
+                nxt[i, y:] = row[:row.size - y]
+            else:
+                nxt[i, :y] = row[-y:]
+        w = nxt
+    return w[1:-1]
 
 
 class JointTable:

@@ -67,6 +67,15 @@ def test_out_of_range_arguments_exit_two(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [["count", "--max-n", "abc"], ["rho", "--grid", "x"],
+                                  ["oracle", "--max-n", "x"]])
+def test_non_numeric_argument_names_int(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == EXIT_BAD_ARGS
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_count_bfile_output(capsys):
     assert run(["count", "--max-n", "20"]) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
@@ -333,6 +342,16 @@ def test_walk_reproducible_output(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "seed=17" in first and "samples=40000" in first and "shards=1" in first
+
+
+def test_walk_exact_reads_the_engine_up_to_its_limit(capsys):
+    assert run(["walk", "--n", "100", "--samples", "1000", "--exact"]) == EXIT_OK
+    exact = capsys.readouterr().out.splitlines()[-1]
+    assert exact.startswith("# exact=") and exact.endswith("(0.223613196)")
+    assert run(["walk", "--n", "301", "--samples", "1000", "--exact"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "# exact=" not in captured.out
+    assert captured.err == "# exact mode needs n <= 300; skipped\n"
 
 
 def test_walk_records_store(tmp_path, capsys):

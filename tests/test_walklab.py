@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphseq import engine
+from graphseq import oracle
 from graphseq.walklab import (
     _mc_shard,
     _walk_grid,
+    EXACT_LIMIT,
     End,
     bridge_return_counts,
     end_weight,
@@ -93,23 +94,16 @@ def test_end_condition_ratio_bounds(n):
     assert Fraction(1, 2) <= ratio <= 1
 
 
-def engine_persistence(n):
-    """(G(n+1) + H(n+1)) / C(2n+1, n): exact persistence with the {0, -1} end."""
-    g, h = (
-        list(engine.extend_counts(engine.initial_layer(parity), n + 1))[-1][1]
-        for parity in (engine.Parity.EVEN, engine.Parity.ODD)
-    )
-    return Fraction(g + h, math.comb(2 * n + 1, n))
-
-
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_persistence_exact_equals_engine_counts(n):
-    assert persistence_exact(n, End.ZERO_OR_MINUS_ONE) == engine_persistence(n)
+    # the cap-free reference F(n, 0, 0) of both parities: (G(n+1) + H(n+1)) / C(2n+1, n)
+    kept = sum(oracle.reference_count(n, 0, 0, parity) for parity in (0, 1))
+    assert persistence_exact(n, End.ZERO_OR_MINUS_ONE) == Fraction(kept, math.comb(2 * n + 1, n))
 
 
 def test_persistence_rejects_large_n():
     with pytest.raises(ValueError):
-        persistence_exact(50)
+        persistence_exact(EXACT_LIMIT + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +118,13 @@ def test_mc_agrees_with_exact(n, end):
     assert abs(estimate - exact) <= 3 * stderr + 1e-12
 
 
-def test_mc_agrees_with_engine_far_past_exact_limit():
+@pytest.mark.parametrize("end, pinned", [(End.ZERO, 0.223613), (End.ZERO_OR_MINUS_ONE, 0.206555)],
+                         ids=["zero", "either"])
+def test_mc_agrees_with_exact_at_n100(end, pinned):
     # at n = 100 most bridges leave their batch within the first steps
-    exact = float(engine_persistence(100))
-    assert abs(exact - 0.206555) < 1e-6
-    estimate, stderr = persistence_mc(100, 400_000, end=End.ZERO_OR_MINUS_ONE, seed=100)
+    exact = float(persistence_exact(100, end))
+    assert abs(exact - pinned) < 1e-6
+    estimate, stderr = persistence_mc(100, 400_000, end=end, seed=100)
     assert abs(estimate - exact) <= 4 * stderr
 
 
