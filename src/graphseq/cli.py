@@ -330,7 +330,7 @@ def cmd_rho(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     grids = args.grid or [2]
     extrapolate = args.extrapolate or []
-    order = args.coeff_order or max(grids + extrapolate)
+    order = max(grids + extrapolate)  # the chain on grid n reads p[1..n-1]
     pmf = _pmf_for(args.kind, order, args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
     human = []
@@ -370,8 +370,8 @@ def cmd_rho(args) -> int:
 def cmd_constants(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     grids = args.grids
-    order = args.coeff_order or max(grids)
-    t0 = time.time()
+    order = max(grids)
+    t0 = time.monotonic()
     lines = []
     results = {}
     for kind, label in (("lazy", "rho"), ("simple", "rho_hat")):
@@ -390,7 +390,7 @@ def cmd_constants(args) -> int:
         )
     c = constants.c_from_rho(results["rho"])
     lines.append(f"c = {c:.12f}  [Gamma(3/4) / (4 pi sqrt(2 (1 - rho))); from rho above]")
-    lines.append(f"# elapsed {time.time() - t0:.1f}s")
+    lines.append(f"# elapsed {time.monotonic() - t0:.1f}s")
     _emit(lines, store, "constants.txt", "constants", {"grids": grids, "K": order})
     return EXIT_OK
 
@@ -431,8 +431,7 @@ def cmd_verify(args) -> int:
 
     def caps():
         layer = engine.initial_layer(engine.Parity.EVEN)
-        ckpt0 = engine.Checkpoint.of(layer)
-        for depth in range(1, 9):
+        for _ in range(8):
             layer = engine.advance(layer)
         for y in layer.heights():
             band = layer.bands[y]
@@ -600,23 +599,14 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def _grid_list(text: str) -> list:
-    grids = [_int_in(2)(v) for v in text.split(",")]
+    try:
+        grids = [_int_in(2)(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
     if len(grids) < 2 or len(set(grids)) != len(grids):
         raise argparse.ArgumentTypeError(f"need at least two distinct grids, got {text!r}")
     return grids
-
-
-def _check_coeff_order(parser: argparse.ArgumentParser, args) -> None:
-    """The chain needs K >= n for every grid n it is solved on."""
-    if getattr(args, "coeff_order", None) is None:
-        return
-    if args.command == "rho":
-        grids = (args.grid or [2]) + (args.extrapolate or [])
-    else:
-        grids = args.grids
-    if args.coeff_order < max(grids):
-        parser.error(f"{args.command}: --coeff-order {args.coeff_order} is below "
-                     f"the largest grid {max(grids)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="absorbing-chain bounds and extrapolation")
     p.add_argument("--grid", type=_int_in(2), action="append", metavar="N")
-    p.add_argument("--coeff-order", type=int, default=None, metavar="K")
     p.add_argument("--kind", choices=("lazy", "simple"), default="lazy")
     p.add_argument("--exact", action="store_true",
                    help="exact rational solve (small grids)")
@@ -679,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="report rho, c and the simple-walk variant")
     p.add_argument("--grids", type=_grid_list,
                    default=",".join(str(g) for g in DEFAULT_EXTRAPOLATION_GRIDS))
-    p.add_argument("--coeff-order", type=int, default=None)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
@@ -693,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_coeff_order(parser, args)
     try:
         return args.func(args)
     except UnusableDirectory as exc:

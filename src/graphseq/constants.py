@@ -136,31 +136,17 @@ def series_g(K: int, kind: str = "lazy") -> TruncatedSeries:
 
 @dataclass
 class AreaPmf:
-    """P(first excursion positive with area i) for i = 1..K, plus tail masses.
+    """P(first excursion positive with area i) for i = 1..K.
 
     The full signed step law of the reduced area walk is: 0 with the flat
-    mass (1/2 for lazy, 0 for simple), +/-i each with weight p[i], and the
-    remaining +/-tail of sign_mass - sum(p).
+    mass of `STEP_LAW` (1/2 for lazy, 0 for simple), +/-i each with weight
+    p[i], and the remaining +/-tail of up - sum(p).
     """
 
     K: int
     p: Sequence  # index 0 unused; Fractions (exact) or longdoubles
     kind: str
     exact: bool
-
-    @property
-    def sign_mass(self):
-        up = _step_law(self.kind)[0]
-        return up if self.exact else _long(up)
-
-    @property
-    def zero_mass(self):
-        flat = _step_law(self.kind)[1]
-        return flat if self.exact else _long(flat)
-
-    @property
-    def pos_tail(self):
-        return self.sign_mass - sum(self.p[1:])
 
 
 def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
@@ -242,37 +228,12 @@ def _landing_masses(n: int, p, sign):
     return sign - cum, sign - cum[::-1]
 
 
-@dataclass
-class ChainSpec:
-    """Absorbing chain on {-, 0, 1, ..., n-1, *} driven by signed area steps.
-
-    From state i the walk adds a signed excursion area; landing exactly on 0
-    is the success we are measuring, going below 0 absorbs at '-', and
-    landing at n or above absorbs at '*'.  Truncation tails are routed to '*'
-    and '-' respectively, which preserves both bounds.
-    """
-
-    n: int
-    pmf: AreaPmf
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grid size must be >= 2")
-        if self.pmf.K < self.n:
-            raise ValueError("need K >= n so no interior mass is reassigned")
-
-    def transition_matrix(self) -> list:
-        """Dense exact matrix over ('-', 0, .., n-1, '*'); rows sum to 1."""
-        if not self.pmf.exact:
-            raise ValueError("dense matrix requires an exact pmf")
-        n = self.n
-        p, zero_mass, sign = _pmf_arrays(self.pmf, exact=True)
-        b_minus, b_star = _landing_masses(n, p, sign)
-        rows = [[Fraction(1)] + [Fraction(0)] * (n + 1)]
-        for i in range(n):
-            interior = [zero_mass if j == i else p[abs(j - i)] for j in range(n)]
-            rows.append([b_minus[i]] + interior + [b_star[i]])
-        return rows + [[Fraction(0)] * (n + 1) + [Fraction(1)]]
+def _check_grid(n: int, pmf: AreaPmf) -> None:
+    """The chain on grid n reads p[1..n-1], so any pmf with K >= n serves it."""
+    if n < 2:
+        raise ValueError("grid size must be >= 2")
+    if pmf.K < n:
+        raise ValueError("need K >= n so no interior mass is reassigned")
 
 
 def _solve_exact(matrix: list, rhs: list) -> list:
@@ -295,27 +256,26 @@ def chain_hitting_exact(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
     """Exact hitting probabilities of 0, '-' and '*' from i = 1..n-1.
 
     The exact solver: one rational elimination of (I - Q) h = b over the
-    transient rows of `ChainSpec.transition_matrix`, carrying the landing
-    masses into 0, '-' and '*' as three right-hand sides.  Returns
-    {"zero", "minus", "star"}, which sum to one state by state; amalgamated
-    solves (n-1 and '*' merged) return only "zero".
+    transient states, with the landing masses into 0, '-' and '*' as three
+    right-hand sides.  From i, the walk stays put with the flat mass and
+    moves to j with p[|i - j|].  Returns {"zero", "minus", "star"}, which
+    sum to one state by state; amalgamated solves (n-1 and '*' merged)
+    return only "zero".
     """
+    _check_grid(n, pmf)
     if not pmf.exact:
         raise ValueError("exact solve requires an exact pmf")
     if n > EXACT_CHAIN_LIMIT:
         raise ValueError(f"exact solve supports n <= {EXACT_CHAIN_LIMIT}")
-    rows = ChainSpec(n, pmf).transition_matrix()
-    # states 1..n-1 are rows and columns 2..n; '-' is column 0, state 0
-    # column 1 and '*' column n + 1
-    transient = range(2, n + 1)
-    system = [[int(r == c) - rows[r][c] for c in transient] for r in transient]
+    p, zero_mass, sign = _pmf_arrays(pmf, exact=True)
+    b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
+    states = range(1, n)
+    system = [[1 - zero_mass if i == j else -p[abs(i - j)] for j in states] for i in states]
     if amalgamate:
-        for r, row in zip(transient, system):
-            row[-1] -= rows[r][n + 1]
-        return {"zero": _solve_exact(system, [[rows[r][1] for r in transient]])[0]}
-    zero, minus, star = _solve_exact(
-        system, [[rows[r][col] for r in transient] for col in (1, 0, n + 1)]
-    )
+        for row, extra in zip(system, b_star):
+            row[-1] -= extra
+        return {"zero": _solve_exact(system, [p[1:n]])[0]}
+    zero, minus, star = _solve_exact(system, [p[1:n], b_minus, b_star])
     return {"zero": zero, "minus": minus, "star": star}
 
 
@@ -387,6 +347,7 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf, amalgamate: bool = False) -> d
     toward zero until it is), so it lies below the true hitting
     probabilities despite the rounding of the FFT sweeps.
     """
+    _check_grid(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf)
     spectrum = _toeplitz_spectrum(p, n - 1)
     b_zero = p[1:n]
@@ -412,7 +373,6 @@ class RhoEstimate:
     upper: object
     mode: str  # "exact-rational" | "iterative" | "amalgamated"
     n: int
-    K: int
     kind: str
 
     def __post_init__(self):
@@ -442,18 +402,17 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     rounds outward to float, so the bracket holds for the chain that the
     given pmf values define.
     """
-    ChainSpec(n, pmf)  # validates the grid/truncation contract
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     lower = zero_mass + np.dot(p[1:n], h["zero"])
     to_minus = sign + np.dot(p[1:n], h["minus"])
     if exact:
-        return RhoEstimate(lower, 1 - to_minus, "exact-rational", n, pmf.K, pmf.kind)
+        return RhoEstimate(lower, 1 - to_minus, "exact-rational", n, pmf.kind)
     shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
     return RhoEstimate(
         _rounded(lower * shave, -math.inf), _rounded(1 - to_minus * shave, math.inf),
-        "iterative", n, pmf.K, pmf.kind,
+        "iterative", n, pmf.kind,
     )
 
 
@@ -463,7 +422,6 @@ def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
     Merging is only sound if the hit-zero probability decreases in the start
     state, which is unproven, so the result is flagged non-rigorous.
     """
-    ChainSpec(n, pmf)  # validates the grid/truncation contract
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     if exact:
         h = chain_hitting_exact(n, pmf, amalgamate=True)
@@ -474,7 +432,7 @@ def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
     est = zero_mass + np.dot(p[1:n], h["zero"]) + start_star * h["zero"][n - 2]
     if not exact:
         est = float(est)
-    return RhoEstimate(est, est, "amalgamated", n, pmf.K, pmf.kind)
+    return RhoEstimate(est, est, "amalgamated", n, pmf.kind)
 
 
 # ---------------------------------------------------------------------------

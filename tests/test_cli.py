@@ -45,7 +45,7 @@ def test_bad_arguments_exit_code(capsys):
     "argv",
     [
         ["count", "--max-n", "0"],
-        ["rho", "--grid", "16", "--coeff-order", "8"],
+        ["rho", "--grid", "1"],
         ["constants", "--grids", "8"],
         ["walk", "--n", "0"],
         ["walk", "--n", "5", "--samples", "0"],
@@ -65,6 +65,16 @@ def test_out_of_range_arguments_exit_two(argv, capsys):
         run(argv)
     assert info.value.code == EXIT_BAD_ARGS
     assert capsys.readouterr().out == ""
+
+
+def test_grid_list_names_its_own_error(capsys):
+    for argv in (["constants", "--grids", "8,x"], ["rho", "--extrapolate", "16,3.5"]):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "expected comma-separated integers" in err
+        assert "_grid_list" not in err
 
 
 @pytest.mark.parametrize("argv", [["count", "--max-n", "abc"], ["rho", "--grid", "x"],
@@ -122,8 +132,7 @@ def test_rho_exact_notes_iterative_fallback(capsys):
 
 def test_rho_iterative_with_extrapolation(capsys):
     code = run([
-        "rho", "--grid", "16", "--grid", "32",
-        "--coeff-order", "64", "--extrapolate", "16,32,64",
+        "rho", "--grid", "16", "--grid", "32", "--extrapolate", "16,32,64",
     ])
     assert code == EXIT_OK
     out = capsys.readouterr().out

@@ -11,7 +11,6 @@ from graphseq.constants import (
     GAMMA_3_4,
     AreaPmf,
     ChainConvergenceError,
-    ChainSpec,
     RhoEstimate,
     area_pmf,
     c_empirical,
@@ -118,10 +117,10 @@ def test_simple_mass_approaches_half():
 
 
 def test_lazy_tail_mass_positive():
-    pmf = area_pmf(30, "lazy", "gf")
-    assert pmf.sign_mass == F(1, 4)
-    assert pmf.zero_mass == F(1, 2)
-    assert 0 < pmf.pos_tail < F(1, 4)
+    p, zero_mass, sign = constants._pmf_arrays(area_pmf(30, "lazy", "gf"), exact=True)
+    assert sign == F(1, 4)
+    assert zero_mass == F(1, 2)
+    assert 0 < sign - sum(p[1:]) < F(1, 4)
 
 
 def test_float_pmf_uses_extended_precision():
@@ -190,28 +189,63 @@ def test_exact_weights_round_once_to_long_double():
 # the chain
 
 
+def chain_rows(n, pmf):
+    """Exact one-step masses over ('-', 0, .., n-1, '*') from each state 0..n-1."""
+    p, zero_mass, sign = constants._pmf_arrays(pmf, exact=True)
+    b_minus, b_star = constants._landing_masses(n, p, sign)
+    return [
+        [b_minus[i], *(zero_mass if j == i else p[abs(j - i)] for j in range(n)), b_star[i]]
+        for i in range(n)
+    ]
+
+
 def test_chain_matrix_reproduces_worked_example():
-    pmf = area_pmf(2, "lazy", "gf")
-    rows = ChainSpec(2, pmf).transition_matrix()
-    assert rows == [
-        [F(1), F(0), F(0), F(0)],
+    assert chain_rows(2, area_pmf(2, "lazy", "gf")) == [
         [F(1, 4), F(1, 2), F(1, 16), F(3, 16)],
         [F(3, 16), F(1, 16), F(1, 2), F(1, 4)],
-        [F(0), F(0), F(0), F(1)],
     ]
 
 
 @pytest.mark.parametrize("n,kind", [(2, "lazy"), (5, "lazy"), (4, "simple")])
 def test_chain_rows_sum_to_one(n, kind):
     pmf = area_pmf(max(n, 4), kind, "gf")
-    for row in ChainSpec(n, pmf).transition_matrix():
+    for row in chain_rows(n, pmf):
         assert sum(row) == 1
 
 
 def test_chain_requires_enough_coefficients():
     pmf = area_pmf(3, "lazy", "gf")
-    with pytest.raises(ValueError):
-        ChainSpec(5, pmf)
+    for solve in (chain_hitting_exact, chain_hitting_iterative, rho_bounds):
+        with pytest.raises(ValueError, match="need K >= n"):
+            solve(5, pmf)
+
+
+@pytest.mark.parametrize(
+    "n,message", [(1, "grid size must be >= 2"), (20, "need K >= n")], ids=["n1", "n20"])
+def test_solvers_refuse_a_bad_grid_alike(n, message):
+    exact, floats = area_pmf(10, "lazy", "gf"), float_pmf(10, "lazy")
+    calls = [(chain_hitting_exact, exact), (chain_hitting_iterative, floats)]
+    calls += [(solve, pmf) for solve in (rho_bounds, rho_amalgamated) for pmf in (exact, floats)]
+    for solve, pmf in calls:
+        with pytest.raises(ValueError, match=message):
+            solve(n, pmf)
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+def test_truncation_order_beyond_the_grid_changes_nothing(kind):
+    # the chain on grid n reads only p[1..n-1], so every K >= n gives one chain
+    for n in (2, 5, 8):
+        small, large = area_pmf(n, kind, "gf"), area_pmf(16, kind, "gf")
+        for solve in (rho_bounds, rho_amalgamated):
+            a, b = solve(n, small), solve(n, large)
+            assert isinstance(a.lower, F)
+            assert (a.lower, a.upper) == (b.lower, b.upper)
+    for n in (16, 256):
+        small, large = float_pmf(n, kind), float_pmf(1024, kind)
+        for solve in (rho_bounds, rho_amalgamated):
+            a, b = solve(n, small), solve(n, large)
+            assert isinstance(a.lower, float)
+            assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
 def test_exact_hitting_probabilities_n2():
@@ -229,7 +263,7 @@ def test_exact_hitting_probabilities_sum_to_one(n, kind):
     for zero, minus, star in zip(h["zero"], h["minus"], h["star"]):
         assert zero + minus + star == 1
     # 1 - P(hit '-') equals P(hit 0) + P(hit '*') from the start state
-    start_star = pmf.sign_mass - sum(pmf.p[1:n])
+    start_star = constants.STEP_LAW[kind][0] - sum(pmf.p[1:n])
     to_star = start_star + sum(pmf.p[j] * h["star"][j - 1] for j in range(1, n))
     est = rho_bounds(n, pmf)
     assert est.mode == "exact-rational"
@@ -304,10 +338,10 @@ def test_fft_product_matches_direct_convolution(m):
 def test_sub_solution_check_backs_off_an_over_estimate():
     n = 64
     pmf = float_pmf(n, "lazy")
-    p = pmf.p
+    p, zero_mass, _ = constants._pmf_arrays(pmf)
     m = n - 1
     rhs = p[1:n].copy()
-    diag = 1 - pmf.zero_mass
+    diag = 1 - zero_mass
     converged = chain_hitting_iterative(n, pmf)["zero"]
     over = converged * np.longdouble(1 + 1e-9)
     kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
@@ -339,7 +373,7 @@ def test_amalgamated_inside_bracket():
 
 def test_bounds_ordering_enforced():
     with pytest.raises(ValueError):
-        RhoEstimate(1.0, 0.5, "iterative", 4, 4, "lazy")
+        RhoEstimate(1.0, 0.5, "iterative", 4, "lazy")
 
 
 def test_chain_convergence_error():
