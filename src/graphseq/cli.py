@@ -160,7 +160,7 @@ def _checkpoint_dir(args) -> Path:
 def _save_checkpoint(layer, directory: Path) -> Path:
     name = f"graphseq-{layer.parity.name.lower()}-depth{layer.depth:05d}.ckpt"
     path = directory / name
-    engine.Checkpoint.of(layer).save(path)
+    engine.Checkpoint(layer).save(path)
     return path
 
 
@@ -320,18 +320,12 @@ def cmd_walk(args) -> int:
     return EXIT_OK
 
 
-def _pmf_for(kind: str, order: int, exact: bool) -> constants.AreaPmf:
-    if exact:
-        return constants.area_pmf(order, kind, "gf")
-    return constants.area_pmf(order, kind, "dp", exact=False)
-
-
 def cmd_rho(args) -> int:
     store = RunStore(args.run_dir) if args.run_dir else None
     grids = args.grid or [2]
     extrapolate = args.extrapolate or []
     order = max(grids + extrapolate)  # the chain on grid n reads p[1..n-1]
-    pmf = _pmf_for(args.kind, order, args.exact)
+    pmf = constants.area_pmf(order, args.kind, exact=args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
     human = []
     # one amalgamated solve per grid, also for a grid that is extrapolated over
@@ -375,7 +369,7 @@ def cmd_constants(args) -> int:
     lines = []
     results = {}
     for kind, label in (("lazy", "rho"), ("simple", "rho_hat")):
-        pmf = _pmf_for(kind, order, exact=False)
+        pmf = constants.area_pmf(order, kind)
         pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in grids]
         extrapolated = constants.richardson(pts)
         bracket = constants.rho_bounds(grids[-1], pmf)
@@ -455,7 +449,7 @@ def cmd_verify(args) -> int:
         layer = checkpoint_layer()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "layer.ckpt")
-            engine.Checkpoint.of(layer).save(path)
+            engine.Checkpoint(layer).save(path)
             back = engine.Checkpoint.load(path)
         eq(back.layer, layer, "checkpoint roundtrip")
         *_, (n, value, _) = engine.extend_counts(back.layer, 10)
@@ -464,7 +458,7 @@ def cmd_verify(args) -> int:
     def checkpoint_damage():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "layer.ckpt")
-            engine.Checkpoint.of(checkpoint_layer()).save(path)
+            engine.Checkpoint(checkpoint_layer()).save(path)
             good = path.read_bytes()
             damaged = [good[:cut] for cut in (20, len(good) // 2, len(good) - 2)]
             damaged += [good[:i] + bytes([good[i] ^ 0x40]) + good[i + 1:]
@@ -497,25 +491,23 @@ def cmd_verify(args) -> int:
             eq(total, sum(2**z for z in walks.values()), f"walk weights n={n}")
 
     def series():
-        pmf = constants.area_pmf(9, "lazy", "gf")
-        eq(pmf.p[1:4], [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], "g(x,1)")
-        dp = constants.area_pmf(30, "lazy", "dp")
-        gf = constants.area_pmf(30, "lazy", "gf")
-        eq(dp.p[1:], gf.p[1:], "lazy gf vs dp")
-        dps = constants.area_pmf(30, "simple", "dp")
-        gfs = constants.area_pmf(30, "simple", "gf")
-        eq(dps.p[1:], gfs.p[1:], "simple gf vs dp")
+        weights = constants.series_g(9).area_weights()
+        eq(weights[1:4], [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)], "g(x,1)")
+        for kind in ("lazy", "simple"):
+            gf = constants.series_g(30, kind).area_weights()
+            dp = constants.area_pmf(30, kind, exact=True).p
+            eq(list(dp), gf, f"{kind} gf vs dp")
 
     def chain():
-        pmf = constants.area_pmf(2, "lazy", "gf")
+        pmf = constants.area_pmf(2, exact=True)
         h = constants.chain_hitting_exact(2, pmf)
         eq(h["zero"][0], Fraction(1, 8), "h10")
         eq(h["star"][0], Fraction(1, 2), "h1*")
         eq(h["zero"][0] + h["minus"][0] + h["star"][0], 1, "hitting row sum")
         est = constants.rho_bounds(2, pmf)
         eq((est.lower, est.upper), (Fraction(65, 128), Fraction(93, 128)), "n=2 bounds")
-        pmf16 = constants.area_pmf(16, "lazy", "dp", exact=False)
-        exact8 = constants.rho_bounds(8, constants.area_pmf(16, "lazy", "gf"))
+        pmf16 = constants.area_pmf(16)
+        exact8 = constants.rho_bounds(8, constants.area_pmf(16, exact=True))
         b8 = constants.rho_bounds(8, pmf16)
         assert b8.lower <= exact8.lower <= exact8.upper <= b8.upper, "n=8 bracket"
         b16 = constants.rho_bounds(16, pmf16)

@@ -20,9 +20,9 @@ Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 The simple +/-1 walk admits the same treatment without the flat-step term:
 g_s(x, y) = x y^2 / (4 (1 - g_s(x, x y))); its excursion-area law feeds the
 same chain to produce the bridge-persistence constant of the simple walk.
-An independent first-passage dynamic program over (height, spent area)
-cross-checks both generating functions and is the scalable source of the
-probabilities at large truncation orders.
+The law itself has one producer, a first-passage dynamic program over
+(height, spent area) in Fractions or long doubles (`area_pmf`); the
+generating function is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -143,10 +143,16 @@ class AreaPmf:
     p[i], and the remaining +/-tail of up - sum(p).
     """
 
-    K: int
-    p: Sequence  # index 0 unused; Fractions (exact) or longdoubles
+    p: np.ndarray  # index 0 unused; Fractions in an object array, or long doubles
     kind: str
-    exact: bool
+
+    @property
+    def K(self) -> int:
+        return len(self.p) - 1
+
+    @property
+    def exact(self) -> bool:
+        return self.p.dtype == object
 
 
 def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
@@ -178,26 +184,17 @@ def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
     return out
 
 
-def area_pmf(K: int, kind: str = "lazy", method: str = "gf", exact: bool | None = None) -> AreaPmf:
-    """Excursion-area weights by generating function or by first-passage DP.
+def area_pmf(K: int, kind: str = "lazy", *, exact: bool = False) -> AreaPmf:
+    """Excursion-area weights p[1..K] by the first-passage DP.
 
-    The two methods agree exactly wherever both run; gf is always exact and
-    practical to a few thousand terms, dp scales much further and defaults to
-    80-bit floats above K = 128.
+    In 80-bit long doubles, or with `exact` in Fractions.  The exact weights
+    equal `series_g(K, kind).area_weights()`, which the tests and `verify`
+    check; the generating function's cost grows far faster in K, so it
+    serves only as that oracle.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if method == "gf":
-        if exact is False:
-            raise ValueError("the gf method is always exact")
-        weights = series_g(K, kind).area_weights()
-        return AreaPmf(K, weights, kind, exact=True)
-    if method == "dp":
-        if exact is None:
-            exact = K <= 128
-        weights = _area_pmf_dp(K, kind, exact)
-        return AreaPmf(K, weights.tolist() if exact else weights, kind, exact=exact)
-    raise ValueError(f"unknown method {method!r}")
+    return AreaPmf(_area_pmf_dp(K, kind, exact), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +205,11 @@ def _pmf_arrays(pmf: AreaPmf, exact: bool = False):
     """(p, zero_mass, sign_mass) of a pmf; p[0] is unused.
 
     Long doubles, each exact weight rounded once, or with `exact` the
-    Fractions of an exact pmf in an object array.
+    Fractions of an exact pmf.
     """
     up, flat, _ = _step_law(pmf.kind)
     if exact:
-        return np.array(pmf.p, dtype=object), flat, up
+        return pmf.p, flat, up
     p = [_long(v) for v in pmf.p] if pmf.exact else pmf.p
     return np.asarray(p, dtype=LONG), _long(flat), _long(up)
 

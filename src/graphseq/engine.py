@@ -380,13 +380,15 @@ class Checkpoint:
     crc32 of everything before it.
     """
 
-    parity: Parity
-    depth: int
     layer: Layer
 
-    @classmethod
-    def of(cls, layer: Layer) -> "Checkpoint":
-        return cls(layer.parity, layer.depth, layer)
+    @property
+    def parity(self) -> Parity:
+        return self.layer.parity
+
+    @property
+    def depth(self) -> int:
+        return self.layer.depth
 
     def save(self, path) -> None:
         """Write atomically: a temp file in the same directory, fsync, rename."""
@@ -450,4 +452,4 @@ class Checkpoint:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
-        return cls(Parity(parity), depth, Layer(depth, Parity(parity), bands, horizon))
+        return cls(Layer(depth, Parity(parity), bands, horizon))

@@ -65,7 +65,7 @@ def odd_counts_to_200():
 @pytest.fixture(scope="session")
 def lazy_chain():
     t0 = time.time()
-    pmf = constants.area_pmf(4096, "lazy", "dp", exact=False)
+    pmf = constants.area_pmf(4096, "lazy")
     bounds = {n: constants.rho_bounds(n, pmf) for n in (16, 256, 4096)}
     points = [
         (n, constants.rho_amalgamated(n, pmf).lower) for n in (1024, 2048, 4096)
@@ -81,7 +81,7 @@ def lazy_chain():
 
 @pytest.fixture(scope="session")
 def simple_chain():
-    pmf = constants.area_pmf(4096, "simple", "dp", exact=False)
+    pmf = constants.area_pmf(4096, "simple")
     points = [
         (n, constants.rho_amalgamated(n, pmf).lower) for n in (1024, 2048, 4096)
     ]
@@ -145,8 +145,8 @@ def test_criterion_04_series():
         (5, 5): F(1, 256), (5, 6): F(1, 256),
         (6, 5): F(2, 1024), (6, 6): F(3, 1024), (6, 7): F(2, 1024),
     }
-    weights = constants.area_pmf(9, "lazy", "gf").p
-    assert list(weights[1:]) == [
+    weights = constants.series_g(9).area_weights()
+    assert weights[1:] == [
         F(1, 16), F(1, 32), F(1, 64), F(3, 256), F(1, 128),
         F(7, 1024), F(21, 4096), F(37, 8192), F(31, 8192),
     ]
@@ -154,7 +154,7 @@ def test_criterion_04_series():
 
 @report(5, "two-state worked chain reproduced as exact rationals")
 def test_criterion_05_chain_exactness():
-    pmf = constants.area_pmf(2, "lazy", "gf")
+    pmf = constants.area_pmf(2, exact=True)
     h = constants.chain_hitting_exact(2, pmf)
     assert h["zero"][0] == F(1, 8)
     assert h["star"][0] == F(1, 2)

@@ -130,6 +130,19 @@ def test_rho_exact_notes_iterative_fallback(capsys):
     assert "n=40: " in captured.out
 
 
+def test_rho_exact_builds_its_pmf_without_the_generating_function(monkeypatch, capsys):
+    # the exact pmf comes from the first-passage dp, so a large grid stays cheap
+    def refuse(*args, **kwargs):
+        raise AssertionError("series_g is only the oracle")
+
+    monkeypatch.setattr(constants, "series_g", refuse)
+    assert run(["rho", "--grid", "4", "--grid", "200", "--exact"]) == EXIT_OK
+    captured = capsys.readouterr()
+    est = constants.rho_bounds(4, constants.area_pmf(4, exact=True))
+    assert captured.out.splitlines()[0] == f"{est.lower} ≤ rho ≤ {est.upper}"
+    assert captured.err == "# exact solve needs n <= 8; n=200 uses the iterative solve\n"
+
+
 def test_rho_iterative_with_extrapolation(capsys):
     code = run([
         "rho", "--grid", "16", "--grid", "32", "--extrapolate", "16,32,64",
@@ -151,7 +164,7 @@ def test_rho_solves_each_amalgamated_grid_once(monkeypatch, capsys):
     assert run(["rho", "--grid", "64", "--extrapolate", "16,32,64"]) == EXIT_OK
     assert sorted(calls) == [(16, True), (32, True), (64, False), (64, True)]
     monkeypatch.undo()
-    pmf = constants.area_pmf(64, "lazy", "dp", exact=False)
+    pmf = constants.area_pmf(64, "lazy")
     pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in (16, 32, 64)]
     lines = capsys.readouterr().out.splitlines()
     assert f"(amalgamated {pts[2][1]:.10f}, non-rigorous)" in lines[0]
@@ -240,7 +253,7 @@ def test_periodic_checkpoints_are_complete_layers(tmp_path, capsys):
 def test_count_ondemand_continues_from_checkpoint(tmp_path, capsys):
     layer = layer_at(9)
     path = tmp_path / "even.ckpt"
-    engine.Checkpoint.of(layer).save(path)
+    engine.Checkpoint(layer).save(path)
     code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "14"])
     assert code == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
@@ -257,7 +270,7 @@ def ondemand_failure(capsys, argv):
 
 def test_count_ondemand_memory_budget_exits_three(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
-    engine.Checkpoint.of(layer_at(3)).save(path)
+    engine.Checkpoint(layer_at(3)).save(path)
     argv = ["--checkpoint", str(path), "--target-n", "60", "--memory-limit", "2000"]
     assert ondemand_failure(capsys, argv) == EXIT_MEMORY_CHECKPOINT
 
@@ -270,7 +283,7 @@ def test_count_ondemand_budget_message_is_consistent(tmp_path):
 
 def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
-    engine.Checkpoint.of(layer_at(5)).save(path)
+    engine.Checkpoint(layer_at(5)).save(path)
     good = path.read_bytes()
     missing = ["--checkpoint", str(tmp_path / "missing.ckpt"), "--target-n", "9"]
     assert ondemand_failure(capsys, missing) == EXIT_BAD_ARGS
@@ -284,7 +297,7 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
 
 def test_count_ondemand_refuses_a_version_4_checkpoint(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
-    engine.Checkpoint.of(layer_at(5)).save(path)
+    engine.Checkpoint(layer_at(5)).save(path)
     good = path.read_bytes()
     body = good[:8] + (4).to_bytes(4, "little") + good[12:-4]
     path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))

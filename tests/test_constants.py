@@ -28,7 +28,7 @@ F = Fraction
 
 
 def float_pmf(K, kind):
-    return area_pmf(K, kind, "dp", exact=False)
+    return area_pmf(K, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +92,19 @@ def test_series_truncation_is_prefix_stable():
 
 
 def test_gf_and_dp_agree_exactly_lazy():
-    gf = area_pmf(50, "lazy", "gf")
-    dp = area_pmf(50, "lazy", "dp")
-    assert dp.exact
-    assert gf.p[1:] == dp.p[1:]
+    gf = series_g(50, "lazy").area_weights()
+    dp = area_pmf(50, "lazy", exact=True)
+    assert dp.exact and dp.K == 50
+    assert list(dp.p) == gf
 
 
 def test_gf_and_dp_agree_exactly_simple():
-    gf = area_pmf(40, "simple", "gf")
-    dp = area_pmf(40, "simple", "dp")
-    assert gf.p[1:] == dp.p[1:]
-    assert gf.p[1] == F(1, 4)  # up-down excursion
-    assert gf.p[2] == 0 and gf.p[3] == 0
-    assert gf.p[4] == F(1, 16)
+    gf = series_g(40, "simple").area_weights()
+    dp = area_pmf(40, "simple", exact=True)
+    assert list(dp.p) == gf
+    assert gf[1] == F(1, 4)  # up-down excursion
+    assert gf[2] == 0 and gf[3] == 0
+    assert gf[4] == F(1, 16)
 
 
 def test_simple_mass_approaches_half():
@@ -113,11 +113,11 @@ def test_simple_mass_approaches_half():
         pmf = float_pmf(K, "simple")
         mass = float(np.sum(pmf.p[1:]))
         assert floor < mass < 0.5
-    assert float(sum(area_pmf(60, "simple", "gf").p[1:])) < 0.5
+    assert sum(area_pmf(60, "simple", exact=True).p[1:]) < F(1, 2)
 
 
 def test_lazy_tail_mass_positive():
-    p, zero_mass, sign = constants._pmf_arrays(area_pmf(30, "lazy", "gf"), exact=True)
+    p, zero_mass, sign = constants._pmf_arrays(area_pmf(30, "lazy", exact=True), exact=True)
     assert sign == F(1, 4)
     assert zero_mass == F(1, 2)
     assert 0 < sign - sum(p[1:]) < F(1, 4)
@@ -125,10 +125,10 @@ def test_lazy_tail_mass_positive():
 
 def test_float_pmf_uses_extended_precision():
     pmf = float_pmf(64, "lazy")
-    assert pmf.p.dtype == np.longdouble
-    exact = area_pmf(64, "lazy", "gf")
+    assert pmf.p.dtype == np.longdouble and pmf.K == 64 and not pmf.exact
+    exact = series_g(64, "lazy").area_weights()
     for i in range(1, 65):
-        assert abs(float(pmf.p[i]) - float(exact.p[i])) < 1e-17
+        assert abs(float(pmf.p[i]) - float(exact[i])) < 1e-17
 
 
 def _scalar_area_pmf_dp(K, kind):
@@ -167,16 +167,16 @@ def test_dp_matches_cell_by_cell_loop_bit_for_bit(kind):
 
 def test_area_pmf_rejects_bad_method():
     with pytest.raises(ValueError):
-        area_pmf(5, "lazy", "bogus")
+        area_pmf(5, "bogus")
     with pytest.raises(ValueError):
-        area_pmf(5, "lazy", "gf", exact=False)
-    with pytest.raises(ValueError):
-        area_pmf(5, "bogus", "dp")
+        area_pmf(0, "lazy", exact=True)
+    with pytest.raises(TypeError):
+        area_pmf(1024, "lazy", "dp")  # exact is keyword-only
 
 
 def test_exact_weights_round_once_to_long_double():
     # at K = 100 many exact weights carry more bits than a double holds
-    pmf = area_pmf(100, "lazy", "dp")
+    pmf = area_pmf(100, "lazy", exact=True)
     assert pmf.exact
     p = constants._pmf_arrays(pmf)[0]
     assert p.dtype == np.longdouble
@@ -200,7 +200,7 @@ def chain_rows(n, pmf):
 
 
 def test_chain_matrix_reproduces_worked_example():
-    assert chain_rows(2, area_pmf(2, "lazy", "gf")) == [
+    assert chain_rows(2, area_pmf(2, "lazy", exact=True)) == [
         [F(1, 4), F(1, 2), F(1, 16), F(3, 16)],
         [F(3, 16), F(1, 16), F(1, 2), F(1, 4)],
     ]
@@ -208,13 +208,13 @@ def test_chain_matrix_reproduces_worked_example():
 
 @pytest.mark.parametrize("n,kind", [(2, "lazy"), (5, "lazy"), (4, "simple")])
 def test_chain_rows_sum_to_one(n, kind):
-    pmf = area_pmf(max(n, 4), kind, "gf")
+    pmf = area_pmf(max(n, 4), kind, exact=True)
     for row in chain_rows(n, pmf):
         assert sum(row) == 1
 
 
 def test_chain_requires_enough_coefficients():
-    pmf = area_pmf(3, "lazy", "gf")
+    pmf = area_pmf(3, "lazy", exact=True)
     for solve in (chain_hitting_exact, chain_hitting_iterative, rho_bounds):
         with pytest.raises(ValueError, match="need K >= n"):
             solve(5, pmf)
@@ -223,7 +223,7 @@ def test_chain_requires_enough_coefficients():
 @pytest.mark.parametrize(
     "n,message", [(1, "grid size must be >= 2"), (20, "need K >= n")], ids=["n1", "n20"])
 def test_solvers_refuse_a_bad_grid_alike(n, message):
-    exact, floats = area_pmf(10, "lazy", "gf"), float_pmf(10, "lazy")
+    exact, floats = area_pmf(10, "lazy", exact=True), float_pmf(10, "lazy")
     calls = [(chain_hitting_exact, exact), (chain_hitting_iterative, floats)]
     calls += [(solve, pmf) for solve in (rho_bounds, rho_amalgamated) for pmf in (exact, floats)]
     for solve, pmf in calls:
@@ -235,7 +235,7 @@ def test_solvers_refuse_a_bad_grid_alike(n, message):
 def test_truncation_order_beyond_the_grid_changes_nothing(kind):
     # the chain on grid n reads only p[1..n-1], so every K >= n gives one chain
     for n in (2, 5, 8):
-        small, large = area_pmf(n, kind, "gf"), area_pmf(16, kind, "gf")
+        small, large = area_pmf(n, kind, exact=True), area_pmf(16, kind, exact=True)
         for solve in (rho_bounds, rho_amalgamated):
             a, b = solve(n, small), solve(n, large)
             assert isinstance(a.lower, F)
@@ -249,7 +249,7 @@ def test_truncation_order_beyond_the_grid_changes_nothing(kind):
 
 
 def test_exact_hitting_probabilities_n2():
-    pmf = area_pmf(2, "lazy", "gf")
+    pmf = area_pmf(2, "lazy", exact=True)
     h = chain_hitting_exact(2, pmf)
     assert h["zero"][0] == F(1, 8)
     assert h["star"][0] == F(1, 2)
@@ -258,7 +258,7 @@ def test_exact_hitting_probabilities_n2():
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exact_hitting_probabilities_sum_to_one(n, kind):
-    pmf = area_pmf(16, kind, "gf")
+    pmf = area_pmf(16, kind, exact=True)
     h = chain_hitting_exact(n, pmf)
     for zero, minus, star in zip(h["zero"], h["minus"], h["star"]):
         assert zero + minus + star == 1
@@ -271,7 +271,7 @@ def test_exact_hitting_probabilities_sum_to_one(n, kind):
 
 
 def test_rho_bounds_n2_exact():
-    est = rho_bounds(2, area_pmf(2, "lazy", "gf"))
+    est = rho_bounds(2, area_pmf(2, "lazy", exact=True))
     assert est.mode == "exact-rational"
     assert est.rigorous
     assert est.lower == F(65, 128)
@@ -281,21 +281,17 @@ def test_rho_bounds_n2_exact():
 def test_rho_amalgamated_n2_exact_hand_solved():
     # merged chain: from the start, mass 1/2 ends at zero and 1/4 reaches the
     # merged state, which returns with probability (1/16) / (1/4) = 1/4
-    est = rho_amalgamated(2, area_pmf(2, "lazy", "gf"))
+    est = rho_amalgamated(2, area_pmf(2, "lazy", exact=True))
     assert est.mode == "amalgamated"
     assert not est.rigorous
     assert est.lower == est.upper == F(9, 16)
 
 
 def test_iterative_matches_exact():
-    pmf = area_pmf(16, "lazy", "gf")
+    pmf = area_pmf(16, "lazy", exact=True)
     exact = rho_bounds(8, pmf)
-    floats = AreaPmf(
-        16,
-        np.asarray([0.0] + [float(v) for v in pmf.p[1:]], dtype=np.longdouble),
-        "lazy",
-        exact=False,
-    )
+    floats = AreaPmf(np.asarray([0.0] + [float(v) for v in pmf.p[1:]], dtype=np.longdouble),
+                     "lazy")
     iterative = rho_bounds(8, floats)
     assert iterative.mode == "iterative"
     assert abs(float(exact.lower) - iterative.lower) < 1e-12
@@ -308,7 +304,7 @@ def test_iterative_matches_exact():
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
 def test_iterative_bracket_contains_exact(kind):
     # K = 16 keeps every weight dyadic, so both solves see the same chain
-    exact = rho_bounds(8, area_pmf(16, kind, "gf"))
+    exact = rho_bounds(8, area_pmf(16, kind, exact=True))
     iterative = rho_bounds(8, float_pmf(16, kind))
     assert iterative.mode == "iterative"
     assert iterative.lower <= exact.lower <= exact.upper <= iterative.upper

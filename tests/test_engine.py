@@ -297,7 +297,7 @@ def test_carry_refuses_a_non_contiguous_view():
 def test_checkpoint_roundtrip(parity, tmp_path):
     layer = layer_at(10, parity)
     path = tmp_path / "layer.ckpt"
-    Checkpoint.of(layer).save(path)
+    Checkpoint(layer).save(path)
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer
     assert loaded.depth == 10 and loaded.parity == parity
@@ -311,7 +311,7 @@ def test_checkpoint_roundtrip_cone_layer(parity, tmp_path):
     assert len(layer.bands) < 2 * 20 + 2
     assert any(b.lo + len(b.limbs) < b.cap + 2 for b in layer.bands.values())
     path = tmp_path / "cone.ckpt"
-    Checkpoint.of(layer).save(path)
+    Checkpoint(layer).save(path)
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer and loaded.layer.horizon == 39
 
@@ -320,13 +320,13 @@ def test_checkpoint_roundtrip_four_limbs(tmp_path):
     layer = layer_at(70)
     assert engine._nlimbs(70) == 4
     path = tmp_path / "deep.ckpt"
-    Checkpoint.of(layer).save(path)
+    Checkpoint(layer).save(path)
     assert Checkpoint.load(path).layer == layer
 
 
 def saved_bytes(tmp_path, depth=4, horizon=None):
     path = tmp_path / "layer.ckpt"
-    Checkpoint.of(layer_at(depth, horizon=horizon)).save(path)
+    Checkpoint(layer_at(depth, horizon=horizon)).save(path)
     return path, path.read_bytes()
 
 
@@ -420,14 +420,14 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError):
-        Checkpoint.of(layer_at(6)).save(path)
+        Checkpoint(layer_at(6)).save(path)
     assert Checkpoint.load(path).layer == layer_at(4)
     assert [p.name for p in tmp_path.iterdir()] == ["layer.ckpt"]
 
 
 def test_checkpoint_magic_bytes(tmp_path):
     path = tmp_path / "layer.ckpt"
-    Checkpoint.of(layer_at(2)).save(path)
+    Checkpoint(layer_at(2)).save(path)
     assert path.read_bytes()[:8] == b"GSEQCKPT"
 
 
@@ -457,10 +457,10 @@ def test_extend_counts_equals_stream_counts(parity, tmp_path):
     assert [n for n, _ in complete] == list(range(1, 61))
     assert count_rows(initial_layer(parity), 60) == complete
     path = tmp_path / "depth6.ckpt"
-    Checkpoint.of(layer_at(6, parity)).save(path)
+    Checkpoint(layer_at(6, parity)).save(path)
     assert count_rows(Checkpoint.load(path).layer, 60) == complete[6:]
     # a saved cone layer extends to its own horizon and to any smaller one
-    Checkpoint.of(layer_at(21, parity, horizon=59)).save(path)
+    Checkpoint(layer_at(21, parity, horizon=59)).save(path)
     loaded = Checkpoint.load(path).layer
     assert loaded.horizon == 59
     assert count_rows(loaded, 60) == complete[21:]
