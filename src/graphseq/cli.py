@@ -158,15 +158,23 @@ def _checkpoint_dir(args) -> Path:
 
 
 def _save_checkpoint(layer, directory: Path) -> Path:
-    name = f"graphseq-{layer.parity.name.lower()}-depth{layer.depth:05d}.ckpt"
+    """Checkpoint the layer's even parity, the one count-ondemand extends."""
+    layer = layer.select(engine.Parity.EVEN)
+    name = f"graphseq-{layer.parities[0].name.lower()}-depth{layer.depth:05d}.ckpt"
     path = directory / name
     engine.Checkpoint(layer).save(path)
     return path
 
 
-def _counts(max_n: int, parity, memory_limit: int | None = None, complete: bool = False):
-    """(n, count, layer) rows for n = 1..max_n, from the depth-0 layer."""
-    return engine.extend_counts(engine.initial_layer(parity), max_n, memory_limit, complete)
+def _counts(max_n: int, *parities, memory_limit: int | None = None, complete: bool = False):
+    """(n, counts, layer) rows for n = 1..max_n from the depth-0 layer of `parities`."""
+    return engine.extend_counts(engine.initial_layer(*parities), max_n, memory_limit, complete)
+
+
+def _count_columns(max_n: int) -> tuple:
+    """The G and H columns for n = 1..max_n, from one pass over both parities."""
+    rows = [counts for _, counts, _ in _counts(max_n, engine.Parity.EVEN, engine.Parity.ODD)]
+    return tuple(zip(*rows))
 
 
 def cmd_count(args) -> int:
@@ -175,31 +183,25 @@ def cmd_count(args) -> int:
     can_save = args.checkpoint_every is not None or args.memory_limit is not None
     ckpt_dir = _checkpoint_dir(args) if can_save else None
     want_h = args.format == "csv"
-    limit = args.memory_limit
-    if want_h and limit is not None:
-        limit //= 2  # the even and odd streams hold their layers side by side
+    parities = (engine.Parity.EVEN, engine.Parity.ODD) if want_h else (engine.Parity.EVEN,)
     # a periodic checkpoint is there to be extended past --max-n, so it needs
     # complete layers; every other run advances over the cone of --max-n
     complete = args.checkpoint_every is not None
-    even = _counts(args.max_n, engine.Parity.EVEN, limit, complete)
-    odd = _counts(args.max_n, engine.Parity.ODD, limit, complete) if want_h else None
-    # the advanced layers' cells and largest size, measured only for the manifest
+    stream = _counts(args.max_n, *parities, memory_limit=args.memory_limit, complete=complete)
+    # the advanced layers' cells (per parity) and largest size, measured only
+    # for the manifest
     cost = {"cells_advanced": 0, "peak_layer_mib": 0.0} if store is not None else None
 
     def rows():
-        for n, g, layer in even:
-            layers = [layer]
-            if want_h:
-                _, h, odd_layer = next(odd)
-                layers.append(odd_layer)
-            yield (n, g, h) if want_h else (n, g)
+        for n, counts, layer in stream:
+            yield (n, *counts)
             # runs once the row's line is printed, as the consumer asks for the next
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, ckpt_dir)
             if cost is not None and layer.depth:  # the depth-0 start is not advanced
-                cost["cells_advanced"] += sum(
-                    len(band.limbs) for each in layers for band in each.bands.values())
-                mib = sum(each.nbytes for each in layers) / 2**20
+                cost["cells_advanced"] += len(parities) * sum(
+                    len(band.limbs) for band in layer.bands.values())
+                mib = layer.nbytes / 2**20
                 cost["peak_layer_mib"] = max(cost["peak_layer_mib"], round(mib, 3))
 
     lines_out = []
@@ -243,7 +245,7 @@ def cmd_count_ondemand(args) -> int:
         return _fail("count-ondemand", f"--target-n {args.target_n} lies beyond the "
                      f"checkpoint's cone, which serves n <= {horizon + 1}", EXIT_BAD_ARGS)
     try:
-        rows = [(n, v) for n, v, _ in
+        rows = [(n, v) for n, (v,), _ in
                 engine.extend_counts(ckpt.layer, args.target_n, args.memory_limit)][1:]
     except engine.MemoryBudgetExceeded as exc:
         return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
@@ -258,8 +260,7 @@ def cmd_oracle(args) -> int:
     lines = ["n,G,H,D"]
     failures = 0
     if args.cross_check:
-        engine_g = [v for _, v, _ in _counts(args.max_n, engine.Parity.EVEN)]
-        engine_h = [v for _, v, _ in _counts(args.max_n, engine.Parity.ODD)]
+        engine_g, engine_h = _count_columns(args.max_n)
     for n in range(1, args.max_n + 1):
         g, h, d = oracle.brute_counts(n)
         lines.append(f"{n},{g},{h},{d}")
@@ -408,8 +409,7 @@ def cmd_verify(args) -> int:
     max_n = args.max_n
 
     def engine_vs_oracle():
-        even = [v for _, v, _ in _counts(max_n, engine.Parity.EVEN)]
-        odd = [v for _, v, _ in _counts(max_n, engine.Parity.ODD)]
+        even, odd = _count_columns(max_n)
         for n in range(1, max_n + 1):
             g, h, d = oracle.brute_counts(n)
             eq(even[n - 1], g, f"G({n})")
@@ -417,8 +417,7 @@ def cmd_verify(args) -> int:
             eq(g + h, d, f"D({n})")
 
     def growth():
-        vals = [v for _, v, _ in _counts(24, engine.Parity.EVEN)]
-        odd = [v for _, v, _ in _counts(24, engine.Parity.ODD)]
+        vals, odd = _count_columns(24)
         for i in range(1, len(vals)):
             assert vals[i] >= vals[i - 1], f"G not monotone at {i + 1}"
             assert 2 * vals[i] >= vals[i - 1] + odd[i - 1], f"growth bound at {i + 1}"
@@ -430,7 +429,7 @@ def cmd_verify(args) -> int:
         for y in layer.heights():
             band = layer.bands[y]
             for a in range(band.cap, band.cap + 5):
-                got = layer.value(y, a)
+                (got,) = layer.value(y, a)
                 want = oracle.reference_count(8, y, a, engine.Parity.EVEN)
                 eq(got, want, f"cap read ({y}, {a})")
 
@@ -452,7 +451,7 @@ def cmd_verify(args) -> int:
             engine.Checkpoint(layer).save(path)
             back = engine.Checkpoint.load(path)
         eq(back.layer, layer, "checkpoint roundtrip")
-        *_, (n, value, _) = engine.extend_counts(back.layer, 10)
+        *_, (n, (value,), _) = engine.extend_counts(back.layer, 10)
         eq((n, value), (10, engine.count_graphic(10, engine.Parity.ODD)), "on-demand extension")
 
     def checkpoint_damage():
@@ -544,7 +543,7 @@ def cmd_verify(args) -> int:
            Fraction(3), "linear model")
 
     def roundtrip_formats():
-        rows = [(n, v) for n, v, _ in _counts(6, engine.Parity.EVEN)]
+        rows = [(n, v) for n, (v,), _ in _counts(6, engine.Parity.EVEN)]
         parsed = parse_bfile("\n".join(bfile_lines(rows)))
         eq(parsed, rows, "bfile roundtrip")
         triples = [(n, g, g - 1) for n, g in rows]

@@ -20,9 +20,11 @@ that dominate but have odd sum.
 Layers are stored per height as dense bands over the feasible area range.
 Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
-Above the stabilization cap the counts are periodic in the area with period
-two, so a band keeps exactly two representative values at the cap.  A
-checkpoint stores those same limb blocks raw, so saving and loading a layer
+The starting parity enters only through the depth-0 layer, so a layer holds
+one limb vector per cell and parity, and one advance moves every parity it
+holds.  Above the stabilization cap the counts are periodic in the area with
+period two, so a band keeps exactly two representative values at the cap.  A
+checkpoint stores one parity's limb blocks raw, so saving and loading a layer
 is a copy, not a conversion.
 
 One generator, ``extend_counts``, serves every caller that reads counts: it
@@ -126,7 +128,7 @@ def _limbs_to_int(limbs: np.ndarray) -> int:
 
 
 class Band:
-    """Counts for one height: a dense area band [lo, hi] of limb vectors.
+    """Counts for one height: a dense area band [lo, hi] of limb vectors per parity.
 
     hi is cap + 1 in a complete layer; a cone layer may cut it lower and
     lo higher (`_band_geometry`).
@@ -137,7 +139,7 @@ class Band:
     def __init__(self, lo: int, cap: int, limbs: np.ndarray):
         self.lo = lo
         self.cap = cap
-        self.limbs = limbs  # shape (hi + 1 - lo, nlimbs), int64
+        self.limbs = limbs  # shape (hi + 1 - lo, parities, nlimbs), int64
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,22 +155,30 @@ class Band:
 class Layer:
     """All counts at one recursion depth, one band per height.
 
-    horizon is None for a complete layer.  A cone layer holds only the cells
-    that F(horizon, 0, 0) reads, and reads outside its cut bands give 0, so
-    it serves no target beyond its horizon.
+    parities lists the starting parities the bands hold, in the order of
+    their parity axis.  horizon is None for a complete layer.  A cone layer
+    holds only the cells that F(horizon, 0, 0) reads, and reads outside its
+    cut bands give 0, so it serves no target beyond its horizon.
     """
 
     depth: int
-    parity: Parity
+    parities: tuple
     bands: dict
     horizon: int | None = None
 
     def heights(self) -> list:
         return sorted(self.bands)
 
-    def value(self, y: int, a: int) -> int:
-        """F(depth, y, a), zero off the bands and period two above a cap."""
-        return _limbs_to_int(_read_band_range(self.bands, y, a, a + 1, _nlimbs(self.depth))[0])
+    def value(self, y: int, a: int) -> tuple:
+        """F(depth, y, a) per parity, zero off the bands and period two above a cap."""
+        cell = _read_band_range(self.bands, y, a, a + 1, len(self.parities), _nlimbs(self.depth))
+        return tuple(_limbs_to_int(limbs) for limbs in cell[0])
+
+    def select(self, parity: Parity) -> "Layer":
+        """The one-parity layer of `parity`, a view of this layer's limbs."""
+        i = self.parities.index(parity)
+        bands = {y: Band(b.lo, b.cap, b.limbs[:, i : i + 1]) for y, b in self.bands.items()}
+        return Layer(self.depth, (self.parities[i],), bands, self.horizon)
 
     @property
     def nbytes(self) -> int:
@@ -214,57 +224,65 @@ def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
             yield y, lo, cap, hi
 
 
-def initial_layer(parity: Parity) -> Layer:
-    """Depth-0 layer: F(0, y, a) = 1 iff y in {0,-1}, a >= 0, a of `parity`."""
-    parity = Parity(parity)
+def initial_layer(*parities: Parity) -> Layer:
+    """Depth-0 layer: F(0, y, a) = 1 iff y in {0,-1}, a >= 0, a of the parity.
+
+    The layer holds each listed parity, in the order given.
+    """
+    if not parities:
+        raise ValueError("an initial layer needs at least one parity")
+    parities = tuple(map(Parity, parities))
     bands = {}
     for y, lo, cap, hi in _band_geometry(0):
-        limbs = np.zeros((hi + 1 - lo, _nlimbs(0)), dtype=np.int64)
-        limbs[(parity - lo) % 2 :: 2, 0] = 1  # areas of the starting parity
+        limbs = np.zeros((hi + 1 - lo, len(parities), _nlimbs(0)), dtype=np.int64)
+        for i, parity in enumerate(parities):
+            limbs[(parity - lo) % 2 :: 2, i, 0] = 1  # areas of the starting parity
         bands[y] = Band(lo, cap, limbs)
-    return Layer(0, parity, bands)
+    return Layer(0, parities, bands)
 
 
-def _read_band_range(bands: dict, y: int, start: int, stop: int, nl: int) -> np.ndarray:
-    """Values F(y, a) for a in [start, stop) as a (stop - start, nl) array.
+def _read_band_range(bands: dict, y: int, start: int, stop: int,
+                     npar: int, nl: int) -> np.ndarray:
+    """Values F(y, a) for a in [start, stop) as a (stop - start, npar, nl) array.
 
     Reads below the band are zero (boundary / floor pruning).  Reads above a
     full band, one stored up to cap + 1, repeat the two cap representatives
     by area parity; a cone band is never read outside its stored rows.
     """
-    out = np.zeros((stop - start, nl), dtype=np.int64)
+    out = np.zeros((stop - start, npar, nl), dtype=np.int64)
     band = bands.get(y)
     if band is None:
         return out
     lo, cap = band.lo, band.cap
     src = band.limbs
-    snl = src.shape[1]
+    snl = src.shape[2]
     end = lo + src.shape[0]  # one past the last stored area
     d0 = max(start, lo)
     d1 = min(stop, end)
     if d0 < d1:
-        out[d0 - start : d1 - start, :snl] = src[d0 - lo : d1 - lo]
+        out[d0 - start : d1 - start, :, :snl] = src[d0 - lo : d1 - lo]
     if stop > end == cap + 2:
         t0 = max(start, cap + 2)
         first_even = t0 + ((cap - t0) & 1)  # first a >= t0 with a - cap even
         first_odd = t0 + ((cap + 1 - t0) & 1)
         if first_even < stop:
-            out[first_even - start :: 2, :snl] = src[cap - lo]
+            out[first_even - start :: 2, :, :snl] = src[cap - lo]
         if first_odd < stop:
-            out[first_odd - start :: 2, :snl] = src[cap + 1 - lo]
+            out[first_odd - start :: 2, :, :snl] = src[cap + 1 - lo]
     return out
 
 
 def _carry_normalize(arr: np.ndarray) -> np.ndarray:
-    """Bring every limb of a C-contiguous (cells, limbs) array below 2**LIMB_BITS.
+    """Bring every limb of a C-contiguous (..., limbs) array below 2**LIMB_BITS.
 
-    Each pass runs on the row-major word view, where a cell's top limb is
-    followed by the next cell's bottom one; no carry crosses that seam,
-    since a carry out of a top limb raises OverflowError first.
+    Each pass runs on the row-major word view, where one limb vector's top
+    limb (a cell's, or a cell's parity's) is followed by the next vector's
+    bottom one; no carry crosses that seam, since a carry out of a top limb
+    raises OverflowError first.
     """
     assert arr.flags.c_contiguous, "a non-contiguous view would be normalized in a copy"
     words = arr.reshape(-1)
-    top = arr.shape[1] - 1
+    top = arr.shape[-1] - 1
     while True:
         carry = words >> LIMB_BITS
         if not carry.any():
@@ -275,12 +293,15 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
         words[1:] += carry[:-1]
 
 
-def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int, nl: int) -> Band:
-    up = _read_band_range(parent_bands, y + 1, lo + y + 1, hi + y + 2, nl)
-    down = _read_band_range(parent_bands, y - 1, lo + y - 1, hi + y, nl)
-    flat = _read_band_range(parent_bands, y, lo + y, hi + y + 1, nl)
-    total = up + down + (flat << 1)
-    return Band(lo, cap, _carry_normalize(total))
+def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int,
+                  npar: int, nl: int) -> Band:
+    up = _read_band_range(parent_bands, y + 1, lo + y + 1, hi + y + 2, npar, nl)
+    down = _read_band_range(parent_bands, y - 1, lo + y - 1, hi + y, npar, nl)
+    flat = _read_band_range(parent_bands, y, lo + y, hi + y + 1, npar, nl)
+    up += down  # accumulated in place: up + down + 2 flat
+    flat <<= 1
+    up += flat
+    return Band(lo, cap, _carry_normalize(up))
 
 
 def advance(layer: Layer, horizon: int | None = None) -> Layer:
@@ -296,17 +317,17 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
             layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
         raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
                          f"cannot advance to horizon {horizon}")
-    nl = _nlimbs(depth)
+    npar, nl = len(layer.parities), _nlimbs(depth)
     bands = {
-        y: _advance_band(layer.bands, y, lo, cap, hi, nl)
+        y: _advance_band(layer.bands, y, lo, cap, hi, npar, nl)
         for y, lo, cap, hi in _band_geometry(depth, horizon)
     }
-    return Layer(depth, layer.parity, bands, horizon)
+    return Layer(depth, layer.parities, bands, horizon)
 
 
-def _estimate_layer_bytes(depth: int, horizon: int | None = None) -> int:
+def _estimate_layer_bytes(depth: int, horizon: int | None = None, npar: int = 1) -> int:
     cells = sum(hi + 1 - lo for _, lo, _, hi in _band_geometry(depth, horizon))
-    return cells * _nlimbs(depth) * 8
+    return cells * npar * _nlimbs(depth) * 8
 
 
 def extend_counts(
@@ -315,10 +336,11 @@ def extend_counts(
     memory_limit: int | None = None,
     complete: bool = False,
 ) -> Iterator[tuple]:
-    """Yield (n, count, layer) for n = depth + 1 of `layer` up to max_n.
+    """Yield (n, counts, layer) for n = depth + 1 of `layer` up to max_n.
 
-    count is G(n) for the even parity and H(n) for the odd one; the first row
-    is the start layer's own.  The layers advance over the dependence cone of
+    counts holds one count per parity of the layer, in its order: G(n) for
+    the even parity and H(n) for the odd one.  The first row is the start
+    layer's own.  The layers advance over the dependence cone of
     (max_n - 1, 0, 0), which holds the origin cell of every depth on the way,
     so one pass yields every row.  With ``complete`` they are complete
     layers, which a checkpoint extended past max_n later needs.
@@ -334,7 +356,7 @@ def extend_counts(
     yield start.depth + 1, start.value(0, 0), start
     for depth in range(start.depth + 1, max_n):
         if memory_limit is not None:
-            needed = layer.nbytes + _estimate_layer_bytes(depth, horizon)
+            needed = layer.nbytes + _estimate_layer_bytes(depth, horizon, len(layer.parities))
             if layer is not start:
                 needed += start.nbytes
             if needed > memory_limit:
@@ -347,7 +369,7 @@ def count_graphic(n: int, parity: Parity = Parity.EVEN) -> int:
     """G(n) for Parity.EVEN, H(n) for Parity.ODD (exact)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for _, value, _ in extend_counts(initial_layer(parity), n):
+    for _, (value,), _ in extend_counts(initial_layer(parity), n):
         pass
     return value
 
@@ -370,7 +392,7 @@ def _crc_read(fh, size: int, crc: int) -> tuple:
 
 @dataclass
 class Checkpoint:
-    """A serializable snapshot of one layer, complete or a cone.
+    """A serializable snapshot of one layer of one parity, complete or a cone.
 
     File layout, all little-endian: the magic bytes; the header (version u32,
     parity u8, depth u64, band count u64, limbs per cell u64, horizon i64,
@@ -384,7 +406,11 @@ class Checkpoint:
 
     @property
     def parity(self) -> Parity:
-        return self.layer.parity
+        """The layer's one parity; ValueError for a layer holding several."""
+        if len(self.layer.parities) != 1:
+            raise ValueError(f"a checkpoint holds one parity, the layer holds "
+                             f"{len(self.layer.parities)}; save Layer.select(parity)")
+        return self.layer.parities[0]
 
     @property
     def depth(self) -> int:
@@ -393,14 +419,14 @@ class Checkpoint:
     def save(self, path) -> None:
         """Write atomically: a temp file in the same directory, fsync, rename."""
         path = Path(path)
-        layer = self.layer
+        layer, parity = self.layer, self.parity
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
                 horizon = -1 if layer.horizon is None else layer.horizon
                 crc = _crc_write(fh, _CKPT_HEADER.pack(
-                    CHECKPOINT_VERSION, int(self.parity), self.depth, len(layer.bands),
+                    CHECKPOINT_VERSION, int(parity), self.depth, len(layer.bands),
                     _nlimbs(self.depth), horizon), crc)
                 for y in layer.heights():
                     band = layer.bands[y]
@@ -439,7 +465,7 @@ class Checkpoint:
                 got = _CKPT_BAND.unpack(record)
                 if got != (y, lo, cap):
                     raise CheckpointFormatError(f"band {got[0]} disagrees with the layer geometry")
-                limbs = np.empty((hi + 1 - lo, nl), dtype="<i8")
+                limbs = np.empty((hi + 1 - lo, 1, nl), dtype="<i8")
                 raw = memoryview(limbs).cast("B")
                 if fh.readinto(raw) != len(raw):
                     raise CheckpointFormatError("checkpoint is truncated")
@@ -452,4 +478,4 @@ class Checkpoint:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
-        return cls(Layer(depth, Parity(parity), bands, horizon))
+        return cls(Layer(depth, (Parity(parity),), bands, horizon))

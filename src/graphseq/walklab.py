@@ -58,14 +58,12 @@ def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
     if n > EXACT_LIMIT:
         raise ValueError(f"exact mode supports n <= {EXACT_LIMIT}")
     ends = _end_states(end)
-    kept = 0
-    for parity in engine.Parity:
-        bands = engine.initial_layer(parity).bands
-        start = engine.Layer(0, parity, {y: band for y, band in bands.items() if y in ends})
-        for _, count, _ in engine.extend_counts(start, n + 1):
-            pass
-        kept += count
-    return Fraction(kept, end_weight(n, end))
+    layer = engine.initial_layer(*engine.Parity)
+    start = engine.Layer(0, layer.parities,
+                         {y: band for y, band in layer.bands.items() if y in ends})
+    for _, counts, _ in engine.extend_counts(start, n + 1):
+        pass
+    return Fraction(sum(counts), end_weight(n, end))
 
 
 def end_weight(n: int, end: str) -> int:

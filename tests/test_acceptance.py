@@ -47,7 +47,7 @@ def report(number: int, description: str):
 
 def counts(max_n, parity=engine.Parity.EVEN):
     """G(1..max_n) or H(1..max_n), advancing over the cone of max_n."""
-    return [v for _, v, _ in engine.extend_counts(engine.initial_layer(parity), max_n)]
+    return [v for _, (v,), _ in engine.extend_counts(engine.initial_layer(parity), max_n)]
 
 
 @pytest.fixture(scope="session")

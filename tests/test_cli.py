@@ -30,7 +30,7 @@ def layer_at(depth):
 
 def count_rows(max_n, parity=engine.Parity.EVEN, **kwargs):
     start = engine.initial_layer(parity)
-    return [(n, v) for n, v, _ in engine.extend_counts(start, max_n, **kwargs)]
+    return [(n, v) for n, (v,), _ in engine.extend_counts(start, max_n, **kwargs)]
 
 
 def test_bad_arguments_exit_code(capsys):
@@ -181,20 +181,22 @@ def test_memory_limit_checkpoints_and_exit_three(tmp_path, capsys):
     saved = list(tmp_path.glob("*.ckpt"))
     assert len(saved) == 1
     ckpt = engine.Checkpoint.load(saved[0])
-    assert ckpt.layer.value(0, 0) == engine.count_graphic(ckpt.depth + 1)
+    assert ckpt.layer.value(0, 0) == (engine.count_graphic(ckpt.depth + 1),)
 
 
-def test_csv_splits_memory_limit_between_streams(tmp_path, capsys):
+def test_csv_memory_limit_covers_both_parities(tmp_path, capsys):
+    # one two-parity stream holds the whole budget; its even parity is saved
     limit = 6000
     code = run([
         "count", "--max-n", "40", "--format", "csv", "--memory-limit", str(limit),
         "--checkpoint-dir", str(tmp_path),
     ])
     assert code == EXIT_MEMORY_CHECKPOINT
+    both = engine.initial_layer(engine.Parity.EVEN, engine.Parity.ODD)
     with pytest.raises(engine.MemoryBudgetExceeded) as info:
-        count_rows(40, memory_limit=limit // 2)
-    (saved,) = tmp_path.glob("*.ckpt")
-    assert engine.Checkpoint.load(saved).depth == info.value.layer.depth
+        list(engine.extend_counts(both, 40, memory_limit=limit))
+    (saved,) = tmp_path.glob("graphseq-even-*.ckpt")
+    assert engine.Checkpoint.load(saved).layer == info.value.layer.select(engine.Parity.EVEN)
 
 
 def test_memory_limit_interrupted_run_recorded(tmp_path, capsys):
@@ -402,13 +404,17 @@ def test_count_manifest_records_cost_and_versions(tmp_path, capsys):
 
 
 def test_count_manifest_records_the_cells_advanced(tmp_path, capsys):
-    assert run(["--run-dir", str(tmp_path), "count", "--max-n", "40"]) == EXIT_OK
-    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
     geometry = engine._band_geometry
     cells = [sum(hi + 1 - lo for _, lo, _, hi in geometry(d, 39)) for d in range(1, 40)]
-    assert entry["cells_advanced"] == sum(cells)
     limbs = max(c * engine._nlimbs(d) for d, c in enumerate(cells, 1))
-    assert entry["peak_layer_mib"] == round(limbs * 8 / 2**20, 3)
+    # cells x parities: a csv run advances G and H over the same cells
+    for fmt, parities in (("bfile", 1), ("csv", 2)):
+        run_dir = tmp_path / fmt
+        argv = ["--run-dir", str(run_dir), "count", "--max-n", "40", "--format", fmt]
+        assert run(argv) == EXIT_OK
+        (entry,) = json.loads((run_dir / "manifest.json").read_text())["runs"]
+        assert entry["cells_advanced"] == parities * sum(cells)
+        assert entry["peak_layer_mib"] == round(parities * limbs * 8 / 2**20, 3)
 
 
 def test_count_store_appends(tmp_path, capsys):

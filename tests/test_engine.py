@@ -36,7 +36,7 @@ def layer_at(depth, parity=Parity.EVEN, horizon=None):
 
 
 def count_rows(layer, max_n, **kwargs):
-    return [(n, v) for n, v, _ in extend_counts(layer, max_n, **kwargs)]
+    return [(n, v) for n, (v,), _ in extend_counts(layer, max_n, **kwargs)]
 
 
 def counts(max_n, parity=Parity.EVEN, **kwargs):
@@ -49,18 +49,27 @@ def counts(max_n, parity=Parity.EVEN, **kwargs):
 
 def test_initial_layer_even():
     layer = initial_layer(Parity.EVEN)
-    assert layer.value(0, 0) == 1
-    assert layer.value(0, 1) == 0
-    assert layer.value(1, 0) == 0
-    assert layer.value(-1, 0) == 1
+    assert layer.value(0, 0) == (1,)
+    assert layer.value(0, 1) == (0,)
+    assert layer.value(1, 0) == (0,)
+    assert layer.value(-1, 0) == (1,)
     # periodic reads above the cap
-    assert layer.value(0, 6) == 1 and layer.value(0, 7) == 0
+    assert layer.value(0, 6) == (1,) and layer.value(0, 7) == (0,)
 
 
 def test_initial_layer_odd():
     layer = initial_layer(Parity.ODD)
-    assert layer.value(0, 1) == 1
-    assert layer.value(0, 0) == 0
+    assert layer.value(0, 1) == (1,)
+    assert layer.value(0, 0) == (0,)
+
+
+def test_initial_layer_holds_the_listed_parities_in_order():
+    layer = initial_layer(Parity.ODD, Parity.EVEN)
+    assert layer.parities == (Parity.ODD, Parity.EVEN)
+    assert layer.value(0, 0) == (0, 1) and layer.value(0, 1) == (1, 0)
+    assert layer.select(Parity.EVEN) == initial_layer(Parity.EVEN)
+    with pytest.raises(ValueError):
+        initial_layer()
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +79,14 @@ def test_initial_layer_odd():
 def test_advance_hand_expansion():
     # F(1,0,0) = F(0,1,1) + F(0,-1,-1) + 2 F(0,0,0) = 0 + 0 + 2
     layer = advance(initial_layer(Parity.EVEN))
-    assert layer.value(0, 0) == 2
+    assert layer.value(0, 0) == (2,)
 
 
 def test_advance_twice_matches_small_oracle():
     layer = layer_at(2)
-    assert layer.value(0, 0) == 4  # G(3)
+    assert layer.value(0, 0) == (4,)  # G(3)
     odd = layer_at(2, Parity.ODD)
-    assert odd.value(0, 0) == 1  # H(3): only (1,1,1) dominates with odd sum
+    assert odd.value(0, 0) == (1,)  # H(3): only (1,1,1) dominates with odd sum
 
 
 def test_count_graphic_spot_values():
@@ -109,6 +118,25 @@ def test_growth_properties():
     for i in range(1, 30):
         assert values[i] >= values[i - 1]
         assert 2 * values[i] >= values[i - 1] + odd_values[i - 1]
+
+
+def test_two_parity_runs_equal_the_one_parity_runs(tmp_path):
+    # band by band, on cone layers, on complete layers and, past a depth-6
+    # checkpoint of each parity, on the one-parity runs from the loaded files
+    for complete in (False, True):
+        both = list(extend_counts(initial_layer(Parity.EVEN, Parity.ODD), 60, complete=complete))
+        assert len(both) == 60
+        for i, parity in enumerate(Parity):
+            single = extend_counts(initial_layer(parity), 60, complete=complete)
+            for (n, counts, layer), (n1, (v,), layer1) in zip(both, single, strict=True):
+                assert (n, counts[i]) == (n1, v)
+                assert layer.select(parity) == layer1
+            path = tmp_path / f"{parity.name}.ckpt"
+            Checkpoint(both[6][2].select(parity)).save(path)
+            loaded = extend_counts(Checkpoint.load(path).layer, 60, complete=complete)
+            for (n, counts, layer), (n1, (v,), layer1) in zip(both[6:], loaded, strict=True):
+                assert (n, counts[i]) == (n1, v)
+                assert layer.select(parity) == layer1
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +202,7 @@ def test_cap_reads_match_reference(parity):
             for a in list(range(band.lo, min(band.lo + 3, band.cap + 2))) + list(
                 range(band.cap, band.cap + 5)
             ):
-                assert layer.value(y, a) == reference_count(depth, y, a, parity), (
+                assert layer.value(y, a) == (reference_count(depth, y, a, parity),), (
                     depth,
                     y,
                     a,
@@ -183,7 +211,7 @@ def test_cap_reads_match_reference(parity):
         for y in range(-depth - 1, 0):
             floor = area_floor(y)
             if floor > 0:
-                assert layer.value(y, floor - 1) == 0
+                assert layer.value(y, floor - 1) == (0,)
                 assert reference_count(depth, y, floor - 1, parity) == 0
 
 
@@ -281,6 +309,20 @@ def test_carry_out_of_the_top_limb_raises():
             engine._carry_normalize(np.array([[0, 0], row], dtype=np.int64))
 
 
+def test_carry_stays_within_each_parity():
+    # cells x parities x limbs: the even parity's top limb precedes the odd
+    # parity's bottom limb in the word view
+    arr = np.zeros((1, 2, 3), dtype=np.int64)
+    arr[0, 0] = [LIMB_MASK + 1, LIMB_MASK, 0]
+    engine._carry_normalize(arr)
+    assert arr.tolist() == [[[0, 0, 1], [0, 0, 0]]]
+    for even in ([0, 0, 1 << LIMB_BITS], [LIMB_MASK + 1, LIMB_MASK, LIMB_MASK]):  # direct, rippled
+        arr = np.array([[even, [7, 0, 0]]], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            engine._carry_normalize(arr)
+        assert arr[0, 1].tolist() == [7, 0, 0]
+
+
 def test_carry_refuses_a_non_contiguous_view():
     arr = np.zeros((4, 6), dtype=np.int64)
     arr[:, 0] = LIMB_MASK + 1
@@ -314,6 +356,19 @@ def test_checkpoint_roundtrip_cone_layer(parity, tmp_path):
     Checkpoint(layer).save(path)
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer and loaded.layer.horizon == 39
+
+
+def test_checkpoint_refuses_a_two_parity_layer(tmp_path):
+    both = advance(advance(initial_layer(Parity.EVEN, Parity.ODD)))
+    path = tmp_path / "both.ckpt"
+    with pytest.raises(ValueError, match="one parity"):
+        Checkpoint(both).save(path)
+    assert list(tmp_path.iterdir()) == []
+    # each parity alone saves as its one-parity run would
+    for parity in Parity:
+        Checkpoint(both.select(parity)).save(path)
+        Checkpoint(layer_at(2, parity)).save(tmp_path / "single.ckpt")
+        assert path.read_bytes() == (tmp_path / "single.ckpt").read_bytes()
 
 
 def test_checkpoint_roundtrip_four_limbs(tmp_path):
@@ -497,7 +552,7 @@ def test_extend_memory_budget():
     # the exception carries the last cone layer reached
     layer = info.value.layer
     assert layer.horizon == 60 and 0 < layer.depth < 60
-    assert layer.value(0, 0) == count_graphic(layer.depth + 1)
+    assert layer.value(0, 0) == (count_graphic(layer.depth + 1),)
     assert info.value.needed > info.value.budget == 1000
 
 
@@ -524,6 +579,15 @@ def test_extend_budget_counts_the_checkpoint_on_every_step():
 # memory budget on the layered path
 
 
+@pytest.mark.parametrize("parities", [(Parity.EVEN,), (Parity.EVEN, Parity.ODD)])
+@pytest.mark.parametrize("horizon", [None, 40])
+def test_layer_estimate_is_the_advanced_layer_size(parities, horizon):
+    layer = initial_layer(*parities)
+    for depth in range(1, 41):
+        layer = advance(layer, horizon)
+        assert engine._estimate_layer_bytes(depth, horizon, len(parities)) == layer.nbytes
+
+
 def test_stream_counts_memory_budget():
     for complete, horizon in ((False, 59), (True, None)):
         with pytest.raises(MemoryBudgetExceeded) as info:
@@ -533,7 +597,7 @@ def test_stream_counts_memory_budget():
         assert exc.needed > 4000
         # the carried layer is a cone of the run's horizon, or complete, and usable
         assert exc.layer.horizon == horizon
-        assert exc.layer.value(0, 0) == count_graphic(exc.layer.depth + 1)
+        assert exc.layer.value(0, 0) == (count_graphic(exc.layer.depth + 1),)
 
 
 def test_stream_counts_values_against_oracle_prefix():
