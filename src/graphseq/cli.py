@@ -131,12 +131,19 @@ class RunStore:
         return str(path)
 
 
-def _emit(lines, store: RunStore | None, name: str, command: str, config: dict):
+def _chain_record(estimates) -> dict:
+    """Manifest fields: each chain solve's Toeplitz products, each kind's last bracket width."""
+    solves = [{"kind": e.kind, "n": e.n, "mode": e.mode, "products": e.sweeps} for e in estimates]
+    widths = {e.kind: float(e.upper - e.lower) for e in estimates if e.rigorous}
+    return {"solves": solves, "bracket_width": widths}
+
+
+def _emit(lines, store: RunStore | None, name: str, command: str, config: dict, **fields):
     for line in lines:
         print(line)
     if store is not None:
         path = store.append(name, lines)
-        store.record(command, config, [path])
+        store.record(command, config, [path], **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +335,7 @@ def cmd_rho(args) -> int:
     order = max(grids + extrapolate)  # the chain on grid n reads p[1..n-1]
     pmf = constants.area_pmf(order, args.kind, exact=args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
-    human = []
+    human, bounds = [], []
     # one amalgamated solve per grid, also for a grid that is extrapolated over
     amalgamated = {n: constants.rho_amalgamated(n, pmf)
                    for n in dict.fromkeys(grids + extrapolate)}
@@ -336,8 +343,8 @@ def cmd_rho(args) -> int:
         if args.exact and n > constants.EXACT_CHAIN_LIMIT:
             print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
                   f"n={n} uses the iterative solve", file=sys.stderr)
-        est = constants.rho_bounds(n, pmf)
-        am = amalgamated[n]
+        est, am = constants.rho_bounds(n, pmf), amalgamated[n]
+        bounds.append(est)
         if args.exact and est.mode == "exact-rational":
             human.append(f"{est.lower} ≤ rho ≤ {est.upper}")
             human.append(f"amalgamated estimate {am.lower} (non-rigorous)")
@@ -358,7 +365,8 @@ def cmd_rho(args) -> int:
         print(line)
     if store is not None:
         path = store.append("rho.csv", lines)
-        store.record("rho", {"grids": list(grids), "K": order, "kind": args.kind}, [path])
+        store.record("rho", {"grids": list(grids), "K": order, "kind": args.kind}, [path],
+                     **_chain_record([*amalgamated.values(), *bounds]))
     return EXIT_OK
 
 
@@ -367,13 +375,13 @@ def cmd_constants(args) -> int:
     grids = args.grids
     order = max(grids)
     t0 = time.monotonic()
-    lines = []
-    results = {}
+    lines, results, estimates = [], {}, []
     for kind, label in (("lazy", "rho"), ("simple", "rho_hat")):
         pmf = constants.area_pmf(order, kind)
-        pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in grids]
-        extrapolated = constants.richardson(pts)
+        amalgamated = [constants.rho_amalgamated(n, pmf) for n in grids]
+        extrapolated = constants.richardson([(e.n, e.lower) for e in amalgamated])
         bracket = constants.rho_bounds(grids[-1], pmf)
+        estimates += [*amalgamated, bracket]
         results[label] = extrapolated
         lines.append(
             f"{label} = {extrapolated:.12f}  [richardson over amalgamated chain, "
@@ -386,7 +394,8 @@ def cmd_constants(args) -> int:
     c = constants.c_from_rho(results["rho"])
     lines.append(f"c = {c:.12f}  [Gamma(3/4) / (4 pi sqrt(2 (1 - rho))); from rho above]")
     lines.append(f"# elapsed {time.monotonic() - t0:.1f}s")
-    _emit(lines, store, "constants.txt", "constants", {"grids": grids, "K": order})
+    _emit(lines, store, "constants.txt", "constants", {"grids": grids, "K": order},
+          **_chain_record(estimates))
     return EXIT_OK
 
 

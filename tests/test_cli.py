@@ -442,6 +442,31 @@ def test_constants_command_small_grids(capsys):
     assert "non-rigorous" in out and "rigorous bracket" in out
 
 
+def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
+    assert run(["--run-dir", str(tmp_path), "constants", "--grids", "32,64"]) == EXIT_OK
+    assert run(["--run-dir", str(tmp_path), "rho", "--grid", "4", "--grid", "48",
+                "--extrapolate", "16,48", "--exact"]) == EXIT_OK
+    first, second = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    want = []
+    for kind in ("lazy", "simple"):
+        pmf = constants.area_pmf(64, kind)
+        solves = [(n, "amalgamated", True) for n in (32, 64)] + [(64, "iterative", False)]
+        want += [{"kind": kind, "n": n, "mode": mode,
+                  "products": constants.chain_hitting_iterative(n, pmf, merged)["sweeps"]}
+                 for n, mode, merged in solves]
+        bracket = constants.rho_bounds(64, pmf)
+        assert first["bracket_width"][kind] == bracket.upper - bracket.lower > 0
+    assert first["command"] == "constants" and first["solves"] == want
+    assert all(s["products"] > 0 for s in want)
+    # the exact solves on grid 4 take no Toeplitz product
+    assert second["command"] == "rho"
+    assert [(s["n"], s["mode"], s["products"] > 0) for s in second["solves"]] == [
+        (4, "amalgamated", False), (48, "amalgamated", True), (16, "amalgamated", True),
+        (4, "exact-rational", False), (48, "iterative", True)]
+    bracket = constants.rho_bounds(48, constants.area_pmf(48, exact=True))
+    assert second["bracket_width"] == {"lazy": float(bracket.upper - bracket.lower)}
+
+
 def test_verify_fresh_build_passes(capsys):
     assert run(["verify", "--max-n", "7"]) == EXIT_OK
     out = capsys.readouterr().out

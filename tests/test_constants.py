@@ -350,7 +350,62 @@ def test_sub_solution_check_backs_off_an_over_estimate():
     assert np.all(checked <= image(checked))
     assert np.all(checked < over)
     assert float(np.max(converged - checked)) < 1e-7
+    # the back-off is one downward shift of every entry, not a scaling
+    shift = over - checked
+    assert float(np.max(shift) - np.min(shift)) < 1e-18
     assert np.array_equal(constants._sub_solution(converged, p, rhs, diag), converged)
+
+
+def direct_image(n, pmf, rhs, h):
+    """F(h) = (rhs + T h) / diag by the direct long-double convolution."""
+    p, zero_mass, _ = constants._pmf_arrays(pmf)
+    m = n - 1
+    kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
+    return (rhs + np.convolve(h, kernel)[m - 1 : 2 * m - 1]) / (1 - zero_mass)
+
+
+@pytest.mark.parametrize("kind,floor", [("lazy", 0.5157), ("simple", 0.0773)])
+def test_conjugate_gradient_ends_are_checked_sub_solutions(kind, floor):
+    # CG iterates are not monotone; the shifted back-off must still leave a
+    # lower end that is not the zero fallback, for both kinds
+    n = 1024
+    pmf = float_pmf(n, kind)
+    p, _, sign = constants._pmf_arrays(pmf)
+    b_minus = constants._landing_masses(n, p, sign)[0][1:]
+    h = chain_hitting_iterative(n, pmf)
+    gamma = (n + 1) * np.finfo(np.longdouble).eps
+    for name, rhs in (("zero", p[1:n]), ("minus", b_minus)):
+        image = direct_image(n, pmf, rhs, h[name])
+        assert np.all(image - h[name] >= gamma * image), name
+        assert np.all(h[name] > 0), name
+    est = rho_bounds(n, pmf)
+    assert est.lower >= floor
+    assert est.lower <= rho_amalgamated(n, pmf).lower <= est.upper
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+def test_conjugate_gradient_products_and_accuracy(kind):
+    # Jacobi sweeps took 370 (lazy) and 464 (simple) products here
+    assert chain_hitting_iterative(1024, float_pmf(1024, kind), amalgamate=True)["sweeps"] <= 150
+    n = 256
+    pmf = float_pmf(n, kind)
+    p, zero_mass, sign = constants._pmf_arrays(pmf)
+    b_star = constants._landing_masses(n, p, sign)[1][1:]
+    states = np.arange(1, n)
+    dist = np.abs(states[:, None] - states[None, :])
+    dense = np.where(dist == 0, float(1 - zero_mass), -p.astype(float)[dist])
+    dense[:, -1] -= b_star.astype(float)
+    want = np.linalg.solve(dense, p[1:n].astype(float))
+    got = chain_hitting_iterative(n, pmf, amalgamate=True)["zero"]
+    # CG is within 1.7e-12 of the dense solve; the Jacobi vector was 1.2e-11
+    # (lazy) and 1.5e-11 (simple) off
+    assert float(np.max(np.abs(got - want))) < 4e-12
+    # the stopping rule holds for the residual recomputed from the solution
+    spectrum = constants._toeplitz_spectrum(p, n - 1)
+    for rhs in (p[1:n], b_star):
+        h, _ = constants._cg_solve(spectrum, rhs, 1 - zero_mass)
+        residual = direct_image(n, pmf, rhs, h) - h
+        assert float(np.max(np.abs(residual))) < constants.DEFAULT_SWEEP_TOL
 
 
 def test_lower_bounds_nondecreasing_in_grid():
