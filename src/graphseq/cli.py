@@ -365,8 +365,9 @@ def cmd_rho(args) -> int:
         print(line)
     if store is not None:
         path = store.append("rho.csv", lines)
-        store.record("rho", {"grids": list(grids), "K": order, "kind": args.kind}, [path],
-                     **_chain_record([*amalgamated.values(), *bounds]))
+        config = {"grids": list(grids), "K": order, "kind": args.kind,
+                  "extrapolate": list(extrapolate), "exact": args.exact}
+        store.record("rho", config, [path], **_chain_record([*amalgamated.values(), *bounds]))
     return EXIT_OK
 
 

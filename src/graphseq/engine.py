@@ -20,6 +20,8 @@ that dominate but have odd sum.
 Layers are stored per height as dense bands over the feasible area range.
 Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
+A count at depth d >= 1 is below the total walk weight 4**d, so a cell holds
+ceil(2d / 60) limbs (one at depth 0).
 The starting parity enters only through the depth-0 layer, so a layer holds
 one limb vector per cell and parity, and one advance moves every parity it
 holds.  Above the stabilization cap the counts are periodic in the area with
@@ -53,9 +55,9 @@ LIMB_MASK = (1 << LIMB_BITS) - 1
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
 # versions 1 and 2 stored decimal digits (2 as area differences), version 3
-# had no horizon and version 4 stored a cone's bands over a box of areas; all
-# four are refused
-CHECKPOINT_VERSION = 5
+# had no horizon, version 4 stored a cone's bands over a box of areas and
+# version 5 one spare limb per cell; all five are refused
+CHECKPOINT_VERSION = 6
 # after the magic: version, parity, depth, band count, limbs per cell,
 # horizon (-1 for a complete layer)
 _CKPT_HEADER = struct.Struct("<IBQQQq")
@@ -116,8 +118,8 @@ def area_floor(y: int) -> int:
 
 
 def _nlimbs(depth: int) -> int:
-    # counts are bounded by the total walk weight 4**depth = 2**(2*depth)
-    return (2 * depth + LIMB_BITS - 1) // LIMB_BITS + 1
+    # a count is below the total walk weight 4**depth = 2**(2*depth) for depth >= 1
+    return max(1, (2 * depth + LIMB_BITS - 1) // LIMB_BITS)
 
 
 def _limbs_to_int(limbs: np.ndarray) -> int:
@@ -395,11 +397,12 @@ class Checkpoint:
     """A serializable snapshot of one layer of one parity, complete or a cone.
 
     File layout, all little-endian: the magic bytes; the header (version u32,
-    parity u8, depth u64, band count u64, limbs per cell u64, horizon i64,
-    -1 for a complete layer); per band in increasing height, (y, lo, cap) as
-    i64 and the band's int64 limb block of (hi + 1 - lo) x limbs, where hi
-    follows from the depth and the horizon (`_band_geometry`); last, the zlib
-    crc32 of everything before it.
+    now 6, parity u8, depth u64, band count u64, limbs per cell u64, horizon
+    i64, -1 for a complete layer); per band in increasing height, (y, lo, cap)
+    as i64 and the band's int64 limb block of (hi + 1 - lo) x limbs, where
+    limbs is ceil(2 depth / 60) (one at depth 0) and hi follows from the depth
+    and the horizon (`_band_geometry`); last, the zlib crc32 of everything
+    before it.
     """
 
     layer: Layer

@@ -91,34 +91,31 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
     each lazy step: up-up, one-of-each, or down-down.  A bridge leaves the
     batch at the step its integral goes negative, so each later step draws
     only for the survivors; the count is the number left after n steps.
+
+    A bridge's state is two integers: r, its remaining up sub-steps (n at the
+    start), and its integral.  After lazy step k + 1 the height is
+    n - (k + 1) - r; with `left` sub-steps still to draw, a draw below
+    r(r - 1) is up-up and one below r(2 left - 1 - r) is not down-down.  No
+    value exceeds T(T - 1) for T sub-steps in all, so state and draws are
+    int32 when that is below 2**31 (n <= 23170) and int64 above; the draws
+    are the same in both types.
     """
     rng = np.random.default_rng(seed_seq)
-    if end == End.ZERO:
-        total, ups = 2 * n, n
-    else:
-        total, ups = 2 * n + 1, n
-    remaining_up = np.full(shard_samples, ups, dtype=np.int64)
-    height = np.zeros(shard_samples, dtype=np.int32)
-    integral = np.zeros(shard_samples, dtype=np.int64)
-    rem_tot = total
-    for _ in range(n):
-        bound = rem_tot * (rem_tot - 1)
-        draw = rng.integers(0, bound, size=integral.size, dtype=np.int64)
-        rem_down = rem_tot - remaining_up
-        both_up = remaining_up * (remaining_up - 1)
-        not_both_down = both_up + 2 * remaining_up * rem_down
-        is_up = draw < both_up
-        not_down = draw < not_both_down
-        height += is_up
-        height -= ~not_down
-        remaining_up -= is_up
-        remaining_up -= not_down
-        integral += height
-        rem_tot -= 2
+    total = 2 * n if end == End.ZERO else 2 * n + 1
+    dtype = np.int32 if total * (total - 1) < 2**31 else np.int64
+    r = np.full(shard_samples, n, dtype=dtype)
+    integral = np.zeros(shard_samples, dtype=dtype)
+    for k in range(n):
+        left = total - 2 * k
+        draw = rng.integers(0, left * (left - 1), size=r.size, dtype=dtype)
+        is_up = draw < r * (r - 1)
+        not_down = draw < r * (2 * left - 1 - r)
+        r -= is_up
+        r -= not_down
+        integral += (n - k - 1) - r
         alive = integral >= 0
         if not alive.all():
-            remaining_up = remaining_up[alive]
-            height = height[alive]
+            r = r[alive]
             integral = integral[alive]
             if not integral.size:
                 break
@@ -126,13 +123,8 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
 
 
 def mc_shard_layout(samples: int, batch: int) -> list:
-    sizes = []
-    left = samples
-    while left > 0:
-        take = min(batch, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+    full, rest = divmod(samples, batch)
+    return [batch] * full + ([rest] if rest else [])
 
 
 def persistence_mc(

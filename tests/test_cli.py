@@ -301,13 +301,14 @@ def test_count_ondemand_refuses_a_version_4_checkpoint(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
     engine.Checkpoint(layer_at(5)).save(path)
     good = path.read_bytes()
-    body = good[:8] + (4).to_bytes(4, "little") + good[12:-4]
-    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-    code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "9"])
-    captured = capsys.readouterr()
-    assert code == EXIT_BAD_ARGS and captured.out == ""
-    (line,) = captured.err.strip().splitlines()
-    assert "version 4" in line
+    for version in (4, 5):  # version 5 kept a spare limb per cell
+        body = good[:8] + version.to_bytes(4, "little") + good[12:-4]
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_ARGS and captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert f"version {version}" in line
 
 
 def test_periodic_checkpoints(tmp_path, capsys):
@@ -465,6 +466,17 @@ def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
         (4, "exact-rational", False), (48, "iterative", True)]
     bracket = constants.rho_bounds(48, constants.area_pmf(48, exact=True))
     assert second["bracket_width"] == {"lazy": float(bracket.upper - bracket.lower)}
+
+
+def test_rho_manifest_records_extrapolation_and_exact(tmp_path, capsys):
+    assert run(["--run-dir", str(tmp_path), "rho", "--grid", "64",
+                "--extrapolate", "16,32,64", "--exact"]) == EXIT_OK
+    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert entry["config"] == {"grids": [64], "K": 64, "kind": "lazy",
+                               "extrapolate": [16, 32, 64], "exact": True}
+    assert run(["--run-dir", str(tmp_path), "rho", "--grid", "8"]) == EXIT_OK
+    second = json.loads((tmp_path / "manifest.json").read_text())["runs"][1]
+    assert second["config"]["extrapolate"] == [] and second["config"]["exact"] is False
 
 
 def test_verify_fresh_build_passes(capsys):

@@ -372,8 +372,8 @@ def test_checkpoint_refuses_a_two_parity_layer(tmp_path):
 
 
 def test_checkpoint_roundtrip_four_limbs(tmp_path):
-    layer = layer_at(70)
-    assert engine._nlimbs(70) == 4
+    layer = layer_at(100)
+    assert engine._nlimbs(100) == 4
     path = tmp_path / "deep.ckpt"
     Checkpoint(layer).save(path)
     assert Checkpoint.load(path).layer == layer
@@ -391,10 +391,11 @@ def test_checkpoint_version_mismatch(tmp_path):
         path.write_bytes(good[:8] + version.to_bytes(4, "little") + good[12:])
         with pytest.raises(CheckpointFormatError, match=f"version {version}"):
             Checkpoint.load(path)
-    # a version-4 file is refused by its number, not by its checksum
-    path.write_bytes(as_version(good, 4))
-    with pytest.raises(CheckpointFormatError, match="version 4"):
-        Checkpoint.load(path)
+    # version-4 and version-5 files are refused by their number, not by their checksum
+    for version in (4, 5):
+        path.write_bytes(as_version(good, version))
+        with pytest.raises(CheckpointFormatError, match=f"version {version}"):
+            Checkpoint.load(path)
     path.write_bytes(b"NOTMAGIC" + good[8:])
     with pytest.raises(CheckpointFormatError):
         Checkpoint.load(path)

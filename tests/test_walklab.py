@@ -134,6 +134,17 @@ def test_mc_shard_in_which_every_bridge_dies():
     assert 0 in hits
 
 
+# hit counts of the sampler before its state went to two int32 arrays; n = 23170
+# is the largest n whose draws and state are int32, 23171 the smallest in int64
+@pytest.mark.parametrize("n, samples, end, seed, hits", [
+    (2000, 20_000, End.ZERO, 0, 2079), (2000, 20_000, End.ZERO_OR_MINUS_ONE, 1, 2087),
+    (23170, 64, End.ZERO, 2, 3), (23170, 64, End.ZERO_OR_MINUS_ONE, 3, 7),
+    (23171, 64, End.ZERO, 4, 3), (23171, 64, End.ZERO_OR_MINUS_ONE, 5, 3),
+])
+def test_mc_shard_pinned_hits(n, samples, end, seed, hits):
+    assert _mc_shard(n, samples, end, np.random.SeedSequence(seed)) == hits
+
+
 def test_mc_reproducible_and_worker_independent():
     a = persistence_mc(50, 90_000, seed=5, batch=20_000, workers=1)
     b = persistence_mc(50, 90_000, seed=5, batch=20_000, workers=2)
