@@ -355,10 +355,9 @@ def cmd_rho(args) -> int:
                 f"(amalgamated {am.lower:.10f}, non-rigorous)"
             )
             lines.append(f"{n},{order},{est.lower:.12f},{est.upper:.12f},{am.lower:.12f},")
-    extrapolated = None
     if extrapolate:
         pts = [(n, amalgamated[n].lower) for n in extrapolate]
-        extrapolated = constants.richardson(pts)
+        extrapolated = float(constants.richardson(pts))  # a Fraction when every grid is exact
         human.append(f"richardson over {extrapolate}: {extrapolated:.12f} (non-rigorous)")
         lines.append(f"{extrapolate[-1]},{order},,,,{extrapolated:.12f}")
     for line in human:

@@ -10,12 +10,14 @@ and every substituted term has strictly higher x-degree, so the truncation to
 any x-order is computed exactly.  Summing signed excursion areas gives a
 heavy-tailed walk; rho is the probability that this walk returns to zero
 before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
-one step law and one set of landing masses, has two solvers: exact rational
-elimination for small grids, long-double conjugate gradients (one FFT
-Toeplitz product a step) for large ones.  Both return P(hit 0) and P(hit '-'),
-bracketing rho as P(hit 0) <= rho <= 1 - P(hit '-'), and their amalgamated
-estimates are Richardson-extrapolated in 1/n.  The leading constant of the
-graphic sequence count is then Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
+one step law and one set of landing masses, has two solvers that return
+P(hit 0), P(hit '-') and P(hit '*'): exact rational elimination for small
+grids, and long-double conjugate gradients (one FFT Toeplitz product a step)
+for 0 and '-' on large ones, '*' following from the row sums.  Only the
+bracket P(hit 0) <= rho <= 1 - P(hit '-') checks CG vectors as sub-solutions;
+one Sherman-Morrison step turns either solver's vectors into the amalgamated
+estimate (n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
+constant of the graphic sequence count is Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
 The simple +/-1 walk admits the same treatment without the flat-step term:
 g_s(x, y) = x y^2 / (4 (1 - g_s(x, x y))); its excursion-area law feeds the
@@ -233,8 +235,8 @@ def _check_grid(n: int, pmf: AreaPmf) -> None:
         raise ValueError("need K >= n so no interior mass is reassigned")
 
 
-def _solve_exact(matrix: list, rhs: list) -> list:
-    """Gaussian elimination over Fractions; one solution per right-hand side."""
+def _solve_exact(matrix: list, rhs: list) -> np.ndarray:
+    """Gaussian elimination over Fractions; one object array per right-hand side."""
     m = len(matrix)
     a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(matrix)]
     for col in range(m):
@@ -246,18 +248,17 @@ def _solve_exact(matrix: list, rhs: list) -> list:
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [[a[r][m + k] for r in range(m)] for k in range(len(rhs))]
+    return np.array(a, dtype=object)[:, m:].T
 
 
-def chain_hitting_exact(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
+def chain_hitting_exact(n: int, pmf: AreaPmf) -> dict:
     """Exact hitting probabilities of 0, '-' and '*' from i = 1..n-1.
 
     The exact solver: one rational elimination of (I - Q) h = b over the
     transient states, with the landing masses into 0, '-' and '*' as three
     right-hand sides.  From i, the walk stays put with the flat mass and
-    moves to j with p[|i - j|].  Returns {"zero", "minus", "star"}, which
-    sum to one state by state; amalgamated solves (n-1 and '*' merged)
-    return only "zero".
+    moves to j with p[|i - j|].  Returns {"zero", "minus", "star"} as object
+    arrays of Fractions, which sum to one state by state.
     """
     _check_grid(n, pmf)
     if not pmf.exact:
@@ -268,10 +269,6 @@ def chain_hitting_exact(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
     b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
     states = range(1, n)
     system = [[1 - zero_mass if i == j else -p[abs(i - j)] for j in states] for i in states]
-    if amalgamate:
-        for row, extra in zip(system, b_star):
-            row[-1] -= extra
-        return {"zero": _solve_exact(system, [p[1:n]])[0]}
     zero, minus, star = _solve_exact(system, [p[1:n], b_minus, b_star])
     return {"zero": zero, "minus": minus, "star": star}
 
@@ -346,27 +343,21 @@ def _sub_solution(h, p, rhs, diag):
     return np.zeros_like(h)
 
 
-def chain_hitting_iterative(n: int, pmf: AreaPmf, amalgamate: bool = False) -> dict:
-    """Hitting probabilities by conjugate gradients, in long doubles.
+def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
+    """Hitting probabilities of 0, '-' and '*' by conjugate gradients, in long doubles.
 
     The interior operator is Toeplitz, so each CG step is one FFT product with the
-    circulant that embeds it.  Returns {"zero": h[i -> 0], "minus": h[i -> '-'],
-    "sweeps": Toeplitz products} for i = 1..n-1.  Amalgamated solves (n-1 and '*'
-    merged) return only "zero", by Sherman-Morrison from A^-1 b_zero and A^-1 b_star.
-    The other vectors are checked sub-solutions, so they lie below the true ones.
+    circulant that embeds it.  Two solves give "zero" and "minus" for i = 1..n-1;
+    "star" is 1 - zero - minus, since the row sums are A 1 = b_zero + b_minus + b_star
+    (diag = 2 sign) and absorption is certain.  "sweeps" counts Toeplitz products.
+    The vectors are as CG leaves them; `rho_bounds` checks the ends it uses.
     """
     _check_grid(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf)
     spectrum = _toeplitz_spectrum(p, n - 1)
-    b_zero = p[1:n]
-    b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
-    diag = LONG(1.0) - zero_mass
-    if amalgamate:
-        (x, s1), (z, s2) = (_cg_solve(spectrum, b, diag) for b in (b_zero, b_star))
-        return {"zero": x + z * (x[-1] / (1 - z[-1])), "sweeps": s1 + s2}
-    (h_zero, s1), (h_minus, s2) = (_cg_solve(spectrum, b, diag) for b in (b_zero, b_minus))
-    return {"zero": _sub_solution(h_zero, p, b_zero, diag),
-            "minus": _sub_solution(h_minus, p, b_minus, diag), "sweeps": s1 + s2}
+    b_minus = _landing_masses(n, p, sign)[0][1:]
+    (zero, s1), (minus, s2) = (_cg_solve(spectrum, b, 1 - zero_mass) for b in (p[1:n], b_minus))
+    return {"zero": zero, "minus": minus, "star": 1 - zero - minus, "sweeps": s1 + s2}
 
 
 @dataclass
@@ -403,15 +394,19 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     Positive tail mass is routed to '*' and negative tail mass to '-', which
     can only widen the bracket, never invalidate it.  Exact pmfs on small
     grids give the bracket as Fractions.  The iterative path takes both ends
-    from CG vectors that passed, or were shifted down to pass, the direct
+    from CG vectors that pass, or are shifted down to pass, the direct
     sub-solution check, shaves each sum by its rounding bound and rounds
     outward to float, so the bracket holds for the chain the pmf values define.
     """
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
-    lower = zero_mass + np.dot(p[1:n], h["zero"])
-    to_minus = sign + np.dot(p[1:n], h["minus"])
+    zero, minus = h["zero"], h["minus"]
+    if not exact:
+        ends = ((zero, p[1:n]), (minus, _landing_masses(n, p, sign)[0][1:]))
+        zero, minus = (_sub_solution(v, p, b, 1 - zero_mass) for v, b in ends)
+    lower = zero_mass + np.dot(p[1:n], zero)
+    to_minus = sign + np.dot(p[1:n], minus)
     if exact:
         return RhoEstimate(lower, 1 - to_minus, "exact-rational", n, pmf.kind)
     shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
@@ -424,14 +419,18 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
 def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
     """Point estimate with states n-1 and '*' merged; NOT a rigorous bound.
 
-    Merging is only sound if the hit-zero probability decreases in the start
-    state, which is unproven, so the result is flagged non-rigorous.
+    Merging takes b_star off column n-1 of A, so one Sherman-Morrison step maps
+    "zero" and "star" to the merged hit-zero vector, in either number type.  It
+    is sound only if the hit-zero probability decreases in the start state,
+    which is unproven, so the result is flagged non-rigorous.
     """
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
-    h = (chain_hitting_exact if exact else chain_hitting_iterative)(n, pmf, amalgamate=True)
+    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
+    zero, star = h["zero"], h["star"]
+    merged = zero + star * (zero[-1] / (1 - star[-1]))
     start_star = _landing_masses(n, p, sign)[1][0]
-    est = zero_mass + np.dot(p[1:n], h["zero"]) + start_star * h["zero"][n - 2]
+    est = zero_mass + np.dot(p[1:n], merged) + start_star * merged[-1]
     est = est if exact else float(est)
     return RhoEstimate(est, est, "amalgamated", n, pmf.kind, h.get("sweeps", 0))
 

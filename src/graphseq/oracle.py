@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 #: ballot_count enumerates n! * 2**n arrangements, so n stays this small.
@@ -46,7 +47,10 @@ class ConjugateData:
 
 def conjugate(d: Sequence[int]) -> ConjugateData:
     n = len(d)
-    dprime = tuple(sum(1 for x in d if x >= i) for i in range(1, n + 1))
+    count = [0] * (n + 1)  # count[v]: entries equal to v
+    for x in d:
+        count[x] += 1
+    dprime = tuple(accumulate(reversed(count[1:])))[::-1]  # suffix sums
     s = tuple((n - 1) - x for x in d)
     sprime = tuple(n - x for x in dprime)
     ell = 0
@@ -151,25 +155,15 @@ def to_walk(d: Sequence[int]) -> MappedWalk:
     """
     check_degree_sequence(d)
     n = len(d)
-    down, right = True, False
-    path = [down] * (n - 1 - d[0]) + [right]
+    # the staircase as step codes, +1 down and -1 right; walk step k is the
+    # half-sum of path steps k and -1-k (the reflected reversal's step k, negated)
+    path = [1] * (n - 1 - d[0]) + [-1]
     for i in range(1, n):
-        path += [down] * (d[i - 1] - d[i]) + [right]
-    path += [down] * d[-1]
+        path += [1] * (d[i - 1] - d[i]) + [-1]
+    path += [1] * d[-1]
     assert len(path) == 2 * n - 1
-
-    first = path[: n - 1] + [down]
-    reflected = [right if step is down else down for step in reversed(path)][:n]
-
-    steps = []
-    lazy = 0
-    for w_step, r_step in zip(first[: n - 1], reflected[: n - 1]):
-        z = 1 if w_step is down else -1
-        zp = -1 if r_step is down else 1
-        step = (z + zp) // 2
-        if step == 0:
-            lazy += 1
-        steps.append(step)
+    steps = [(x + y) // 2 for x, y in zip(path[: n - 1], path[: -n : -1])]
+    lazy = steps.count(0)
     end = sum(steps)
     assert end in (0, -1)
     return MappedWalk(tuple(steps), end, lazy)

@@ -3,6 +3,7 @@
 import json
 import sys
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_rho_exact_builds_its_pmf_without_the_generating_function(monkeypatch, c
     assert captured.err == "# exact solve needs n <= 8; n=200 uses the iterative solve\n"
 
 
+def test_rho_exact_extrapolation_over_exact_grids(tmp_path, capsys):
+    # every extrapolation grid is exact, so richardson returns a Fraction
+    assert run(["--run-dir", str(tmp_path), "rho", "--grid", "4",
+                "--extrapolate", "2,4", "--exact"]) == EXIT_OK
+    pmf = constants.area_pmf(4, exact=True)
+    value = constants.richardson([(n, constants.rho_amalgamated(n, pmf).lower) for n in (2, 4)])
+    assert isinstance(value, Fraction)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"richardson over [2, 4]: {float(value):.12f} (non-rigorous)"
+    rows = (tmp_path / "rho.csv").read_text().splitlines()
+    assert rows[-1] == f"4,4,,,,{float(value):.12f}"
+
+
 def test_rho_iterative_with_extrapolation(capsys):
     code = run([
         "rho", "--grid", "16", "--grid", "32", "--extrapolate", "16,32,64",
@@ -156,13 +170,13 @@ def test_rho_solves_each_amalgamated_grid_once(monkeypatch, capsys):
     calls = []
     solve = constants.chain_hitting_iterative
 
-    def spy(n, pmf, amalgamate=False, **kwargs):
-        calls.append((n, amalgamate))
-        return solve(n, pmf, amalgamate, **kwargs)
+    def spy(n, pmf):
+        calls.append(n)
+        return solve(n, pmf)
 
     monkeypatch.setattr(constants, "chain_hitting_iterative", spy)
     assert run(["rho", "--grid", "64", "--extrapolate", "16,32,64"]) == EXIT_OK
-    assert sorted(calls) == [(16, True), (32, True), (64, False), (64, True)]
+    assert sorted(calls) == [16, 32, 64, 64]
     monkeypatch.undo()
     pmf = constants.area_pmf(64, "lazy")
     pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in (16, 32, 64)]
@@ -451,10 +465,10 @@ def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
     want = []
     for kind in ("lazy", "simple"):
         pmf = constants.area_pmf(64, kind)
-        solves = [(n, "amalgamated", True) for n in (32, 64)] + [(64, "iterative", False)]
+        solves = [(n, "amalgamated") for n in (32, 64)] + [(64, "iterative")]
         want += [{"kind": kind, "n": n, "mode": mode,
-                  "products": constants.chain_hitting_iterative(n, pmf, merged)["sweeps"]}
-                 for n, mode, merged in solves]
+                  "products": constants.chain_hitting_iterative(n, pmf)["sweeps"]}
+                 for n, mode in solves]
         bracket = constants.rho_bounds(64, pmf)
         assert first["bracket_width"][kind] == bracket.upper - bracket.lower > 0
     assert first["command"] == "constants" and first["solves"] == want

@@ -287,6 +287,16 @@ def test_rho_amalgamated_n2_exact_hand_solved():
     assert est.lower == est.upper == F(9, 16)
 
 
+@pytest.mark.parametrize("kind,values", [
+    ("lazy", "9/16 35/64 15/28 3949/7424 112487/212992 74973/142336 27009961/51458560"),
+    ("simple", "1/4 1/8 1/12 15/112 75/704 271/3104 959/10064"),
+])
+def test_exact_amalgamated_values(kind, values):
+    # the merged chain's exact estimates on grids 2..8, one rational solve each
+    pmf = area_pmf(8, kind, exact=True)
+    assert [rho_amalgamated(n, pmf).lower for n in range(2, 9)] == [F(v) for v in values.split()]
+
+
 def test_iterative_matches_exact():
     pmf = area_pmf(16, "lazy", exact=True)
     exact = rho_bounds(8, pmf)
@@ -338,7 +348,7 @@ def test_sub_solution_check_backs_off_an_over_estimate():
     m = n - 1
     rhs = p[1:n].copy()
     diag = 1 - zero_mass
-    converged = chain_hitting_iterative(n, pmf)["zero"]
+    converged = constants._sub_solution(chain_hitting_iterative(n, pmf)["zero"], p, rhs, diag)
     over = converged * np.longdouble(1 + 1e-9)
     kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
 
@@ -370,14 +380,15 @@ def test_conjugate_gradient_ends_are_checked_sub_solutions(kind, floor):
     # lower end that is not the zero fallback, for both kinds
     n = 1024
     pmf = float_pmf(n, kind)
-    p, _, sign = constants._pmf_arrays(pmf)
+    p, zero_mass, sign = constants._pmf_arrays(pmf)
     b_minus = constants._landing_masses(n, p, sign)[0][1:]
     h = chain_hitting_iterative(n, pmf)
     gamma = (n + 1) * np.finfo(np.longdouble).eps
     for name, rhs in (("zero", p[1:n]), ("minus", b_minus)):
-        image = direct_image(n, pmf, rhs, h[name])
-        assert np.all(image - h[name] >= gamma * image), name
-        assert np.all(h[name] > 0), name
+        checked = constants._sub_solution(h[name], p, rhs, 1 - zero_mass)
+        image = direct_image(n, pmf, rhs, checked)
+        assert np.all(image - checked >= gamma * image), name
+        assert np.all(checked > 0), name
     est = rho_bounds(n, pmf)
     assert est.lower >= floor
     assert est.lower <= rho_amalgamated(n, pmf).lower <= est.upper
@@ -386,23 +397,29 @@ def test_conjugate_gradient_ends_are_checked_sub_solutions(kind, floor):
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
 def test_conjugate_gradient_products_and_accuracy(kind):
     # Jacobi sweeps took 370 (lazy) and 464 (simple) products here
-    assert chain_hitting_iterative(1024, float_pmf(1024, kind), amalgamate=True)["sweeps"] <= 150
+    assert chain_hitting_iterative(1024, float_pmf(1024, kind))["sweeps"] <= 150
     n = 256
     pmf = float_pmf(n, kind)
     p, zero_mass, sign = constants._pmf_arrays(pmf)
-    b_star = constants._landing_masses(n, p, sign)[1][1:]
+    b_minus, b_star = (b[1:] for b in constants._landing_masses(n, p, sign))
     states = np.arange(1, n)
     dist = np.abs(states[:, None] - states[None, :])
     dense = np.where(dist == 0, float(1 - zero_mass), -p.astype(float)[dist])
+    got = chain_hitting_iterative(n, pmf)
+    # CG's zero and star are within 1.3e-12 of the dense solves; the merged
+    # Jacobi vector was 1.2e-11 (lazy) and 1.5e-11 (simple) off
+    for name, rhs in (("zero", p[1:n]), ("star", b_star)):
+        want = np.linalg.solve(dense, rhs.astype(float))
+        assert float(np.max(np.abs(got[name] - want))) < 4e-12, name
+    # the estimate matches the dense solve of the merged chain (n-1 absorbs '*')
     dense[:, -1] -= b_star.astype(float)
-    want = np.linalg.solve(dense, p[1:n].astype(float))
-    got = chain_hitting_iterative(n, pmf, amalgamate=True)["zero"]
-    # CG is within 1.7e-12 of the dense solve; the Jacobi vector was 1.2e-11
-    # (lazy) and 1.5e-11 (simple) off
-    assert float(np.max(np.abs(got - want))) < 4e-12
+    merged = np.linalg.solve(dense, p[1:n].astype(float))
+    start_star = float(sign) - float(np.sum(p[1:n]))
+    want = float(zero_mass) + p[1:n].astype(float) @ merged + start_star * merged[-1]
+    assert abs(rho_amalgamated(n, pmf).lower - want) < 4e-12
     # the stopping rule holds for the residual recomputed from the solution
     spectrum = constants._toeplitz_spectrum(p, n - 1)
-    for rhs in (p[1:n], b_star):
+    for rhs in (p[1:n], b_minus, b_star):
         h, _ = constants._cg_solve(spectrum, rhs, 1 - zero_mass)
         residual = direct_image(n, pmf, rhs, h) - h
         assert float(np.max(np.abs(residual))) < constants.DEFAULT_SWEEP_TOL
