@@ -131,10 +131,10 @@ class RunStore:
         return str(path)
 
 
-def _chain_record(estimates) -> dict:
-    """Manifest fields: each chain solve's Toeplitz products, each kind's last bracket width."""
-    solves = [{"kind": e.kind, "n": e.n, "mode": e.mode, "products": e.sweeps} for e in estimates]
-    widths = {e.kind: float(e.upper - e.lower) for e in estimates if e.rigorous}
+def _chain_record(solved, printed) -> dict:
+    """Manifest fields: Toeplitz products per solve, and per kind the last printed bracket's width."""
+    solves = [{"kind": e.kind, "n": e.n, "mode": e.mode, "products": e.sweeps} for e in solved]
+    widths = {e.kind: float(e.upper - e.lower) for e in printed}
     return {"solves": solves, "bracket_width": widths}
 
 
@@ -335,28 +335,26 @@ def cmd_rho(args) -> int:
     order = max(grids + extrapolate)  # the chain on grid n reads p[1..n-1]
     pmf = constants.area_pmf(order, args.kind, exact=args.exact)
     lines = ["n,K,lower,upper,amalgamated,extrapolated"]
-    human, bounds = [], []
-    # one amalgamated solve per grid, also for a grid that is extrapolated over
-    amalgamated = {n: constants.rho_amalgamated(n, pmf)
-                   for n in dict.fromkeys(grids + extrapolate)}
+    human = []
+    # one solve per grid, also for a grid that is only extrapolated over
+    solved = {n: constants.rho_bounds(n, pmf) for n in dict.fromkeys(grids + extrapolate)}
     for n in grids:
         if args.exact and n > constants.EXACT_CHAIN_LIMIT:
             print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
                   f"n={n} uses the iterative solve", file=sys.stderr)
-        est, am = constants.rho_bounds(n, pmf), amalgamated[n]
-        bounds.append(est)
+        est = solved[n]
         if args.exact and est.mode == "exact-rational":
             human.append(f"{est.lower} ≤ rho ≤ {est.upper}")
-            human.append(f"amalgamated estimate {am.lower} (non-rigorous)")
-            lines.append(f"{n},{order},{est.lower},{est.upper},{am.lower},")
+            human.append(f"amalgamated estimate {est.estimate} (non-rigorous)")
+            lines.append(f"{n},{order},{est.lower},{est.upper},{est.estimate},")
         else:
             human.append(
                 f"n={n}: {est.lower:.10f} ≤ rho ≤ {est.upper:.10f} "
-                f"(amalgamated {am.lower:.10f}, non-rigorous)"
+                f"(amalgamated {est.estimate:.10f}, non-rigorous)"
             )
-            lines.append(f"{n},{order},{est.lower:.12f},{est.upper:.12f},{am.lower:.12f},")
+            lines.append(f"{n},{order},{est.lower:.12f},{est.upper:.12f},{est.estimate:.12f},")
     if extrapolate:
-        pts = [(n, amalgamated[n].lower) for n in extrapolate]
+        pts = [(n, solved[n].estimate) for n in extrapolate]
         extrapolated = float(constants.richardson(pts))  # a Fraction when every grid is exact
         human.append(f"richardson over {extrapolate}: {extrapolated:.12f} (non-rigorous)")
         lines.append(f"{extrapolate[-1]},{order},,,,{extrapolated:.12f}")
@@ -366,7 +364,8 @@ def cmd_rho(args) -> int:
         path = store.append("rho.csv", lines)
         config = {"grids": list(grids), "K": order, "kind": args.kind,
                   "extrapolate": list(extrapolate), "exact": args.exact}
-        store.record("rho", config, [path], **_chain_record([*amalgamated.values(), *bounds]))
+        printed = [solved[n] for n in grids]
+        store.record("rho", config, [path], **_chain_record(solved.values(), printed))
     return EXIT_OK
 
 
@@ -375,13 +374,13 @@ def cmd_constants(args) -> int:
     grids = args.grids
     order = max(grids)
     t0 = time.monotonic()
-    lines, results, estimates = [], {}, []
+    lines, results, solved = [], {}, []
     for kind, label in (("lazy", "rho"), ("simple", "rho_hat")):
         pmf = constants.area_pmf(order, kind)
-        amalgamated = [constants.rho_amalgamated(n, pmf) for n in grids]
-        extrapolated = constants.richardson([(e.n, e.lower) for e in amalgamated])
-        bracket = constants.rho_bounds(grids[-1], pmf)
-        estimates += [*amalgamated, bracket]
+        estimates = [constants.rho_bounds(n, pmf) for n in grids]
+        extrapolated = constants.richardson([(e.n, e.estimate) for e in estimates])
+        bracket = estimates[-1]
+        solved += estimates
         results[label] = extrapolated
         lines.append(
             f"{label} = {extrapolated:.12f}  [richardson over amalgamated chain, "
@@ -391,11 +390,15 @@ def cmd_constants(args) -> int:
             f"  rigorous bracket at n={grids[-1]}: "
             f"[{bracket.lower:.10f}, {bracket.upper:.10f}]"
         )
-    c = constants.c_from_rho(results["rho"])
+    try:
+        c = constants.c_from_rho(results["rho"])
+    except ValueError:
+        return _fail("constants", f"rho extrapolates to {results['rho']:.4f}, outside [0, 1); "
+                     "use larger grids", EXIT_BAD_ARGS)
     lines.append(f"c = {c:.12f}  [Gamma(3/4) / (4 pi sqrt(2 (1 - rho))); from rho above]")
     lines.append(f"# elapsed {time.monotonic() - t0:.1f}s")
     _emit(lines, store, "constants.txt", "constants", {"grids": grids, "K": order},
-          **_chain_record(estimates))
+          **_chain_record(solved, solved))  # each kind's last grid is its printed bracket
     return EXIT_OK
 
 
@@ -519,8 +522,7 @@ def cmd_verify(args) -> int:
         b8 = constants.rho_bounds(8, pmf16)
         assert b8.lower <= exact8.lower <= exact8.upper <= b8.upper, "n=8 bracket"
         b16 = constants.rho_bounds(16, pmf16)
-        a16 = constants.rho_amalgamated(16, pmf16)
-        assert b16.lower <= a16.lower <= b16.upper, "amalgamated outside bracket"
+        assert b16.lower <= b16.estimate <= b16.upper, "amalgamated outside bracket"
 
     def persistence():
         eq(walklab.persistence_exact(2), Fraction(5, 6), "q(2)")

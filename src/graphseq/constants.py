@@ -13,10 +13,11 @@ before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
 one step law and one set of landing masses, has two solvers that return
 P(hit 0), P(hit '-') and P(hit '*'): exact rational elimination for small
 grids, and long-double conjugate gradients (one FFT Toeplitz product a step)
-for 0 and '-' on large ones, '*' following from the row sums.  Only the
-bracket P(hit 0) <= rho <= 1 - P(hit '-') checks CG vectors as sub-solutions;
-one Sherman-Morrison step turns either solver's vectors into the amalgamated
-estimate (n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
+for 0 and '-' on large ones, '*' following from the row sums.  One solve per
+grid gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'), whose CG ends
+are shifted down until they check as sub-solutions, and, by one
+Sherman-Morrison step on the vectors as solved, the amalgamated estimate
+(n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
 constant of the graphic sequence count is Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
 The simple +/-1 walk admits the same treatment without the flat-step term:
@@ -315,29 +316,25 @@ def _cg_solve(spectrum, rhs, diag):
 
 
 def _sub_solution(h, p, rhs, diag):
-    """h if h <= F(h) checks, else h shifted down and clamped at 0 until it does, else 0.
+    """h shifted down and clamped at 0 until it checks as h <= F(h), else 0.
 
-    F(h) = (rhs + T h) / diag, by a direct long-double convolution, must exceed h by
-    gamma F(h) componentwise; gamma = (m + 2) eps covers the rounding of F.  F is
-    monotone and contracting, so a sub-solution lies below its fixed point, and 0 is
-    one.  A shift by s adds s escape / diag to F(h) - h (escape = diag - T 1, the row
-    sums of A): shifts are multiples of (max|F(h) - h| + gamma max F(h)) diag / min(escape).
+    F(h) = (rhs + T h) / diag; a trial passes if F(trial), by a direct long-double
+    convolution, exceeds it by gamma F(trial) componentwise, gamma = (m + 2) eps
+    covering the rounding of F.  F is monotone and contracting, so a sub-solution lies
+    below its fixed point, and 0 is one.  A shift by s adds s escape / diag to F(h) - h
+    (escape = diag - T 1, the row sums of A), so the trials are shifts by 1, 2, 4 and 8
+    times (max|F(h) - h| + gamma max F(h)) diag / min(escape), with this F(h) taken
+    by FFT: only shifted vectors pay for the direct check.
     """
     m = len(h)
     gamma = (m + 2) * np.finfo(LONG).eps
     kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=LONG), p[1:m]))
     cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:m])))
     escape = diag - cum - cum[::-1]
-
-    def image(v):
-        return (rhs + np.convolve(v, kernel)[m - 1 : 2 * m - 1]) / diag
-
-    f = image(h)
-    if np.all(f - h >= gamma * f):
-        return h
+    f = (rhs + _toeplitz_product(_toeplitz_spectrum(p, m), h)) / diag
     step = (np.max(np.abs(f - h)) + gamma * np.max(f)) * diag / np.min(escape)
     for trial in (np.maximum(h - step * k, 0) for k in (1, 2, 4, 8)):
-        f = image(trial)
+        f = (rhs + np.convolve(trial, kernel)[m - 1 : 2 * m - 1]) / diag
         if np.all(f - trial >= gamma * f):
             return trial
     return np.zeros_like(h)
@@ -350,7 +347,7 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
     circulant that embeds it.  Two solves give "zero" and "minus" for i = 1..n-1;
     "star" is 1 - zero - minus, since the row sums are A 1 = b_zero + b_minus + b_star
     (diag = 2 sign) and absorption is certain.  "sweeps" counts Toeplitz products.
-    The vectors are as CG leaves them; `rho_bounds` checks the ends it uses.
+    The vectors are as CG leaves them; `rho_bounds` shifts and checks the bracket ends.
     """
     _check_grid(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf)
@@ -362,11 +359,12 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
 
 @dataclass
 class RhoEstimate:
-    """Bounds (or a point estimate) for a return-before-negative probability."""
+    """One grid's rigorous bracket lower <= rho <= upper and its amalgamated estimate."""
 
     lower: object
     upper: object
-    mode: str  # "exact-rational" | "iterative" | "amalgamated"
+    estimate: object  # the amalgamated chain's value; NOT a bound
+    mode: str  # "exact-rational" | "iterative"
     n: int
     kind: str
     sweeps: int = 0  # Toeplitz products of the iterative solve; 0 for the exact one
@@ -374,10 +372,6 @@ class RhoEstimate:
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise ValueError("lower bound exceeds upper bound")
-
-    @property
-    def rigorous(self) -> bool:
-        return self.mode in ("exact-rational", "iterative")
 
 
 def _rounded(x, toward: float) -> float:
@@ -389,50 +383,39 @@ def _rounded(x, toward: float) -> float:
 
 
 def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
-    """Rigorous bounds: P(hit 0) <= rho <= 1 - P(hit '-'), from the start 0.
+    """One solve on grid n: bounds P(hit 0) <= rho <= 1 - P(hit '-') and an estimate.
 
     Positive tail mass is routed to '*' and negative tail mass to '-', which
     can only widen the bracket, never invalidate it.  Exact pmfs on small
-    grids give the bracket as Fractions.  The iterative path takes both ends
-    from CG vectors that pass, or are shifted down to pass, the direct
-    sub-solution check, shaves each sum by its rounding bound and rounds
-    outward to float, so the bracket holds for the chain the pmf values define.
+    grids give Fractions.  The iterative path takes both ends from CG vectors
+    shifted down until they pass the direct sub-solution check, shaves each
+    sum by its rounding bound and rounds outward to float, so the bracket
+    holds for the chain the pmf values define.
+
+    The estimate merges state n-1 with '*': that takes b_star off column n-1
+    of A, so one Sherman-Morrison step maps the solved "zero" and "star" to the
+    merged hit-zero vector.  It is sound only if the hit-zero probability
+    decreases in the start state, which is unproven, so it is no bound.
     """
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
-    zero, minus = h["zero"], h["minus"]
+    zero, minus, star = h["zero"], h["minus"], h["star"]
+    b_minus, b_star = _landing_masses(n, p, sign)
+    merged = zero + star * (zero[-1] / (1 - star[-1]))
+    estimate = zero_mass + np.dot(p[1:n], merged) + b_star[0] * merged[-1]
     if not exact:
-        ends = ((zero, p[1:n]), (minus, _landing_masses(n, p, sign)[0][1:]))
+        ends = ((zero, p[1:n]), (minus, b_minus[1:]))
         zero, minus = (_sub_solution(v, p, b, 1 - zero_mass) for v, b in ends)
     lower = zero_mass + np.dot(p[1:n], zero)
     to_minus = sign + np.dot(p[1:n], minus)
     if exact:
-        return RhoEstimate(lower, 1 - to_minus, "exact-rational", n, pmf.kind)
+        return RhoEstimate(lower, 1 - to_minus, estimate, "exact-rational", n, pmf.kind)
     shave = 1 - (n + 1) * np.finfo(LONG).eps  # rounding of a sum of n terms
     return RhoEstimate(
         _rounded(lower * shave, -math.inf), _rounded(1 - to_minus * shave, math.inf),
-        "iterative", n, pmf.kind, h["sweeps"],
+        float(estimate), "iterative", n, pmf.kind, h["sweeps"],
     )
-
-
-def rho_amalgamated(n: int, pmf: AreaPmf) -> RhoEstimate:
-    """Point estimate with states n-1 and '*' merged; NOT a rigorous bound.
-
-    Merging takes b_star off column n-1 of A, so one Sherman-Morrison step maps
-    "zero" and "star" to the merged hit-zero vector, in either number type.  It
-    is sound only if the hit-zero probability decreases in the start state,
-    which is unproven, so the result is flagged non-rigorous.
-    """
-    exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
-    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
-    p, zero_mass, sign = _pmf_arrays(pmf, exact)
-    zero, star = h["zero"], h["star"]
-    merged = zero + star * (zero[-1] / (1 - star[-1]))
-    start_star = _landing_masses(n, p, sign)[1][0]
-    est = zero_mass + np.dot(p[1:n], merged) + start_star * merged[-1]
-    est = est if exact else float(est)
-    return RhoEstimate(est, est, "amalgamated", n, pmf.kind, h.get("sweeps", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def lazy_chain():
     pmf = constants.area_pmf(4096, "lazy")
     bounds = {n: constants.rho_bounds(n, pmf) for n in (16, 256, 4096)}
     points = [
-        (n, constants.rho_amalgamated(n, pmf).lower) for n in (1024, 2048, 4096)
+        (n, constants.rho_bounds(n, pmf).estimate) for n in (1024, 2048, 4096)
     ]
     extrapolated = constants.richardson(points)
     return {
@@ -83,7 +83,7 @@ def lazy_chain():
 def simple_chain():
     pmf = constants.area_pmf(4096, "simple")
     points = [
-        (n, constants.rho_amalgamated(n, pmf).lower) for n in (1024, 2048, 4096)
+        (n, constants.rho_bounds(n, pmf).estimate) for n in (1024, 2048, 4096)
     ]
     return constants.richardson(points)
 

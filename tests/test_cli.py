@@ -149,7 +149,7 @@ def test_rho_exact_extrapolation_over_exact_grids(tmp_path, capsys):
     assert run(["--run-dir", str(tmp_path), "rho", "--grid", "4",
                 "--extrapolate", "2,4", "--exact"]) == EXIT_OK
     pmf = constants.area_pmf(4, exact=True)
-    value = constants.richardson([(n, constants.rho_amalgamated(n, pmf).lower) for n in (2, 4)])
+    value = constants.richardson([(n, constants.rho_bounds(n, pmf).estimate) for n in (2, 4)])
     assert isinstance(value, Fraction)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"richardson over [2, 4]: {float(value):.12f} (non-rigorous)"
@@ -176,10 +176,10 @@ def test_rho_solves_each_amalgamated_grid_once(monkeypatch, capsys):
 
     monkeypatch.setattr(constants, "chain_hitting_iterative", spy)
     assert run(["rho", "--grid", "64", "--extrapolate", "16,32,64"]) == EXIT_OK
-    assert sorted(calls) == [16, 32, 64, 64]
+    assert sorted(calls) == [16, 32, 64]
     monkeypatch.undo()
     pmf = constants.area_pmf(64, "lazy")
-    pts = [(n, constants.rho_amalgamated(n, pmf).lower) for n in (16, 32, 64)]
+    pts = [(n, constants.rho_bounds(n, pmf).estimate) for n in (16, 32, 64)]
     lines = capsys.readouterr().out.splitlines()
     assert f"(amalgamated {pts[2][1]:.10f}, non-rigorous)" in lines[0]
     assert lines[1] == (f"richardson over [16, 32, 64]: "
@@ -457,6 +457,31 @@ def test_constants_command_small_grids(capsys):
     assert "non-rigorous" in out and "rigorous bracket" in out
 
 
+def test_constants_solves_each_grid_once(monkeypatch, capsys):
+    calls = []
+    solve = constants.chain_hitting_iterative
+
+    def spy(n, pmf):
+        calls.append((pmf.kind, n))
+        return solve(n, pmf)
+
+    monkeypatch.setattr(constants, "chain_hitting_iterative", spy)
+    assert run(["constants", "--grids", "32,64,128"]) == EXIT_OK
+    for kind in ("lazy", "simple"):
+        assert [n for k, n in calls if k == kind] == [32, 64, 128]
+
+
+def test_constants_refuses_rho_extrapolated_outside_the_unit_interval(tmp_path, capsys):
+    # Richardson over tiny grids overshoots to rho = -0.3945, which has no constant c
+    code = run(["--run-dir", str(tmp_path), "constants", "--grids", "2,3,4,5,6,7,8"])
+    assert code == EXIT_BAD_ARGS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("graphseq constants: rho extrapolates to -0.3945, "
+                            "outside [0, 1); use larger grids\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
     assert run(["--run-dir", str(tmp_path), "constants", "--grids", "32,64"]) == EXIT_OK
     assert run(["--run-dir", str(tmp_path), "rho", "--grid", "4", "--grid", "48",
@@ -465,7 +490,7 @@ def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
     want = []
     for kind in ("lazy", "simple"):
         pmf = constants.area_pmf(64, kind)
-        solves = [(n, "amalgamated") for n in (32, 64)] + [(64, "iterative")]
+        solves = [(n, "iterative") for n in (32, 64)]
         want += [{"kind": kind, "n": n, "mode": mode,
                   "products": constants.chain_hitting_iterative(n, pmf)["sweeps"]}
                  for n, mode in solves]
@@ -476,8 +501,7 @@ def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
     # the exact solves on grid 4 take no Toeplitz product
     assert second["command"] == "rho"
     assert [(s["n"], s["mode"], s["products"] > 0) for s in second["solves"]] == [
-        (4, "amalgamated", False), (48, "amalgamated", True), (16, "amalgamated", True),
-        (4, "exact-rational", False), (48, "iterative", True)]
+        (4, "exact-rational", False), (48, "iterative", True), (16, "iterative", True)]
     bracket = constants.rho_bounds(48, constants.area_pmf(48, exact=True))
     assert second["bracket_width"] == {"lazy": float(bracket.upper - bracket.lower)}
 

@@ -18,7 +18,6 @@ from graphseq.constants import (
     chain_hitting_exact,
     chain_hitting_iterative,
     parity_gap,
-    rho_amalgamated,
     rho_bounds,
     richardson,
     series_g,
@@ -225,7 +224,7 @@ def test_chain_requires_enough_coefficients():
 def test_solvers_refuse_a_bad_grid_alike(n, message):
     exact, floats = area_pmf(10, "lazy", exact=True), float_pmf(10, "lazy")
     calls = [(chain_hitting_exact, exact), (chain_hitting_iterative, floats)]
-    calls += [(solve, pmf) for solve in (rho_bounds, rho_amalgamated) for pmf in (exact, floats)]
+    calls += [(rho_bounds, pmf) for pmf in (exact, floats)]
     for solve, pmf in calls:
         with pytest.raises(ValueError, match=message):
             solve(n, pmf)
@@ -236,16 +235,14 @@ def test_truncation_order_beyond_the_grid_changes_nothing(kind):
     # the chain on grid n reads only p[1..n-1], so every K >= n gives one chain
     for n in (2, 5, 8):
         small, large = area_pmf(n, kind, exact=True), area_pmf(16, kind, exact=True)
-        for solve in (rho_bounds, rho_amalgamated):
-            a, b = solve(n, small), solve(n, large)
-            assert isinstance(a.lower, F)
-            assert (a.lower, a.upper) == (b.lower, b.upper)
+        a, b = rho_bounds(n, small), rho_bounds(n, large)
+        assert isinstance(a.lower, F) and isinstance(a.estimate, F)
+        assert (a.lower, a.upper, a.estimate) == (b.lower, b.upper, b.estimate)
     for n in (16, 256):
         small, large = float_pmf(n, kind), float_pmf(1024, kind)
-        for solve in (rho_bounds, rho_amalgamated):
-            a, b = solve(n, small), solve(n, large)
-            assert isinstance(a.lower, float)
-            assert (a.lower, a.upper) == (b.lower, b.upper)
+        a, b = rho_bounds(n, small), rho_bounds(n, large)
+        assert isinstance(a.lower, float) and isinstance(a.estimate, float)
+        assert (a.lower, a.upper, a.estimate) == (b.lower, b.upper, b.estimate)
 
 
 def test_exact_hitting_probabilities_n2():
@@ -273,18 +270,16 @@ def test_exact_hitting_probabilities_sum_to_one(n, kind):
 def test_rho_bounds_n2_exact():
     est = rho_bounds(2, area_pmf(2, "lazy", exact=True))
     assert est.mode == "exact-rational"
-    assert est.rigorous
     assert est.lower == F(65, 128)
     assert est.upper == F(65, 128) + F(7, 32) == F(93, 128)
 
 
-def test_rho_amalgamated_n2_exact_hand_solved():
+def test_amalgamated_estimate_n2_exact_hand_solved():
     # merged chain: from the start, mass 1/2 ends at zero and 1/4 reaches the
     # merged state, which returns with probability (1/16) / (1/4) = 1/4
-    est = rho_amalgamated(2, area_pmf(2, "lazy", exact=True))
-    assert est.mode == "amalgamated"
-    assert not est.rigorous
-    assert est.lower == est.upper == F(9, 16)
+    est = rho_bounds(2, area_pmf(2, "lazy", exact=True))
+    assert est.mode == "exact-rational"
+    assert est.estimate == F(9, 16)
 
 
 @pytest.mark.parametrize("kind,values", [
@@ -294,7 +289,7 @@ def test_rho_amalgamated_n2_exact_hand_solved():
 def test_exact_amalgamated_values(kind, values):
     # the merged chain's exact estimates on grids 2..8, one rational solve each
     pmf = area_pmf(8, kind, exact=True)
-    assert [rho_amalgamated(n, pmf).lower for n in range(2, 9)] == [F(v) for v in values.split()]
+    assert [rho_bounds(n, pmf).estimate for n in range(2, 9)] == [F(v) for v in values.split()]
 
 
 def test_iterative_matches_exact():
@@ -306,9 +301,7 @@ def test_iterative_matches_exact():
     assert iterative.mode == "iterative"
     assert abs(float(exact.lower) - iterative.lower) < 1e-12
     assert abs(float(exact.upper) - iterative.upper) < 1e-12
-    am_exact = rho_amalgamated(8, pmf)
-    am_iter = rho_amalgamated(8, floats)
-    assert abs(float(am_exact.lower) - am_iter.lower) < 1e-12
+    assert abs(float(exact.estimate) - iterative.estimate) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
@@ -363,7 +356,12 @@ def test_sub_solution_check_backs_off_an_over_estimate():
     # the back-off is one downward shift of every entry, not a scaling
     shift = over - checked
     assert float(np.max(shift) - np.min(shift)) < 1e-18
-    assert np.array_equal(constants._sub_solution(converged, p, rhs, diag), converged)
+    # a vector that already passes comes back as one small downward shift that passes
+    again = constants._sub_solution(converged, p, rhs, diag)
+    assert np.all(again <= image(again))
+    shift = converged - again
+    assert float(np.min(shift)) > 0 and float(np.max(shift) - np.min(shift)) < 1e-18
+    assert float(np.max(shift)) < 1e-7
 
 
 def direct_image(n, pmf, rhs, h):
@@ -391,7 +389,7 @@ def test_conjugate_gradient_ends_are_checked_sub_solutions(kind, floor):
         assert np.all(checked > 0), name
     est = rho_bounds(n, pmf)
     assert est.lower >= floor
-    assert est.lower <= rho_amalgamated(n, pmf).lower <= est.upper
+    assert est.lower <= est.estimate <= est.upper
 
 
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
@@ -416,7 +414,7 @@ def test_conjugate_gradient_products_and_accuracy(kind):
     merged = np.linalg.solve(dense, p[1:n].astype(float))
     start_star = float(sign) - float(np.sum(p[1:n]))
     want = float(zero_mass) + p[1:n].astype(float) @ merged + start_star * merged[-1]
-    assert abs(rho_amalgamated(n, pmf).lower - want) < 4e-12
+    assert abs(rho_bounds(n, pmf).estimate - want) < 4e-12
     # the stopping rule holds for the residual recomputed from the solution
     spectrum = constants._toeplitz_spectrum(p, n - 1)
     for rhs in (p[1:n], b_minus, b_star):
@@ -435,13 +433,12 @@ def test_amalgamated_inside_bracket():
     for n in (16, 64):
         pmf = float_pmf(n, "lazy")
         est = rho_bounds(n, pmf)
-        mid = rho_amalgamated(n, pmf)
-        assert est.lower <= mid.lower <= est.upper
+        assert est.lower <= est.estimate <= est.upper
 
 
 def test_bounds_ordering_enforced():
     with pytest.raises(ValueError):
-        RhoEstimate(1.0, 0.5, "iterative", 4, "lazy")
+        RhoEstimate(1.0, 0.5, 0.75, "iterative", 4, "lazy")
 
 
 def test_chain_convergence_error():
