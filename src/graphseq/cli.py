@@ -35,10 +35,22 @@ DEFAULT_EXTRAPOLATION_GRIDS = (1024, 2048, 4096)
 # output formats and the results store
 
 
-def bfile_lines(rows) -> Iterator[str]:
-    """OEIS b-file: one ascii 'n value' pair per line, increasing n."""
-    for n, value in rows:
-        yield f"{n} {value}"
+def count_lines(parities, rows) -> Iterator[str]:
+    """What `count` prints for rows (n, counts) of a layer of `parities`, increasing n.
+
+    For one parity an OEIS b-file, one ascii 'n value' pair per line; for both
+    a csv with header n,G,H,ratio, where ratio is G(n)/G(n-1), blank at n = 1.
+    """
+    if len(parities) == 1:
+        for n, (value,) in rows:
+            yield f"{n} {value}"
+        return
+    yield "n,G,H,ratio"
+    prev_g = None
+    for n, (g, h) in rows:
+        ratio = "" if not prev_g else f"{g / prev_g:.6f}"
+        yield f"{n},{g},{h},{ratio}"
+        prev_g = g
 
 
 def parse_bfile(text: str) -> list:
@@ -50,16 +62,6 @@ def parse_bfile(text: str) -> list:
         n, value = line.split()
         rows.append((int(n), int(value)))
     return rows
-
-
-def csv_lines(rows) -> Iterator[str]:
-    """CSV with header n,G,H,ratio; ratio is G(n)/G(n-1), blank at n = 1."""
-    yield "n,G,H,ratio"
-    prev_g = None
-    for n, g, h in rows:
-        ratio = "" if not prev_g else f"{g / prev_g:.6f}"
-        yield f"{n},{g},{h},{ratio}"
-        prev_g = g
 
 
 def parse_csv_counts(text: str) -> list:
@@ -121,7 +123,8 @@ class RunStore:
             }
             | fields
         )
-        self.manifest_path.write_text(json.dumps(self.manifest, indent=2) + "\n")
+        with engine.atomic_open(self.manifest_path) as fh:
+            fh.write((json.dumps(self.manifest, indent=2) + "\n").encode())
 
     def append(self, name: str, lines) -> str:
         path = self.root / name
@@ -165,10 +168,8 @@ def _checkpoint_dir(args) -> Path:
 
 
 def _save_checkpoint(layer, directory: Path) -> Path:
-    """Checkpoint the layer's even parity, the one count-ondemand extends."""
-    layer = layer.select(engine.Parity.EVEN)
-    name = f"graphseq-{layer.parities[0].name.lower()}-depth{layer.depth:05d}.ckpt"
-    path = directory / name
+    parities = "-".join(parity.name.lower() for parity in layer.parities)
+    path = directory / f"graphseq-{parities}-depth{layer.depth:05d}.ckpt"
     engine.Checkpoint(layer).save(path)
     return path
 
@@ -189,8 +190,7 @@ def cmd_count(args) -> int:
     # resolved before any layer is advanced, so an unusable one costs no work
     can_save = args.checkpoint_every is not None or args.memory_limit is not None
     ckpt_dir = _checkpoint_dir(args) if can_save else None
-    want_h = args.format == "csv"
-    parities = (engine.Parity.EVEN, engine.Parity.ODD) if want_h else (engine.Parity.EVEN,)
+    parities = tuple(engine.Parity) if args.format == "csv" else (engine.Parity.EVEN,)
     # a periodic checkpoint is there to be extended past --max-n, so it needs
     # complete layers; every other run advances over the cone of --max-n
     complete = args.checkpoint_every is not None
@@ -201,7 +201,7 @@ def cmd_count(args) -> int:
 
     def rows():
         for n, counts, layer in stream:
-            yield (n, *counts)
+            yield n, counts
             # runs once the row's line is printed, as the consumer asks for the next
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, ckpt_dir)
@@ -213,7 +213,7 @@ def cmd_count(args) -> int:
 
     lines_out = []
     try:
-        for line in (csv_lines if want_h else bfile_lines)(rows()):
+        for line in count_lines(parities, rows()):
             lines_out.append(line)
             print(line, flush=True)
     except engine.MemoryBudgetExceeded as exc:
@@ -252,12 +252,16 @@ def cmd_count_ondemand(args) -> int:
         return _fail("count-ondemand", f"--target-n {args.target_n} lies beyond the "
                      f"checkpoint's cone, which serves n <= {horizon + 1}", EXIT_BAD_ARGS)
     try:
-        rows = [(n, v) for n, (v,), _ in
-                engine.extend_counts(ckpt.layer, args.target_n, args.memory_limit)][1:]
+        rows = [(n, counts) for n, counts, _ in
+                engine.extend_counts(ckpt.layer, args.target_n, args.memory_limit)]
     except engine.MemoryBudgetExceeded as exc:
         return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
-    lines = list(bfile_lines(rows))
-    _emit(lines, store, "results.bfile", "count-ondemand",
+    lines = list(count_lines(ckpt.layer.parities, rows))
+    # the checkpoint's own row was printed by the count that saved it; in csv
+    # it still gives the first new row its ratio
+    del lines[len(lines) - len(rows)]
+    name = "results.bfile" if len(ckpt.layer.parities) == 1 else "results.csv"
+    _emit(lines, store, name, "count-ondemand",
           {"checkpoint": str(args.checkpoint), "target_n": args.target_n})
     return EXIT_OK
 
@@ -403,16 +407,20 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = []
+    store = RunStore(args.run_dir) if args.run_dir else None
+    lines, failed = [], []
+
+    def report(line):
+        lines.append(line)
+        print(line, flush=True)
 
     def check(name, fn):
         try:
             fn()
-            checks.append((name, None))
-            print(f"ok - {name}")
+            report(f"ok - {name}")
         except Exception as exc:  # noqa: BLE001 - report and continue
-            checks.append((name, exc))
-            print(f"FAIL - {name}: {exc}")
+            failed.append(name)
+            report(f"FAIL - {name}: {exc}")
 
     def eq(a, b, what=""):
         if a != b:
@@ -450,26 +458,28 @@ def cmd_verify(args) -> int:
                 for w in (1, 2)]
         eq(runs[0], runs[1], "worker count changes the estimate")
 
-    def checkpoint_layer():
-        layer = engine.initial_layer(engine.Parity.ODD)
+    def checkpoint_layer(*parities):
+        layer = engine.initial_layer(*parities)
         for _ in range(6):
             layer = engine.advance(layer)
         return layer
 
     def checkpoints():
-        layer = checkpoint_layer()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "layer.ckpt")
-            engine.Checkpoint(layer).save(path)
-            back = engine.Checkpoint.load(path)
-        eq(back.layer, layer, "checkpoint roundtrip")
-        *_, (n, (value,), _) = engine.extend_counts(back.layer, 10)
-        eq((n, value), (10, engine.count_graphic(10, engine.Parity.ODD)), "on-demand extension")
+        for parities in ((engine.Parity.ODD,), tuple(engine.Parity)):
+            layer = checkpoint_layer(*parities)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp, "layer.ckpt")
+                engine.Checkpoint(layer).save(path)
+                back = engine.Checkpoint.load(path)
+            eq(back.layer, layer, "checkpoint roundtrip")
+            *_, (n, counts, _) = engine.extend_counts(back.layer, 10)
+            want = tuple(engine.count_graphic(10, parity) for parity in parities)
+            eq((n, counts), (10, want), "on-demand extension")
 
     def checkpoint_damage():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "layer.ckpt")
-            engine.Checkpoint(checkpoint_layer()).save(path)
+            engine.Checkpoint(checkpoint_layer(engine.Parity.ODD)).save(path)
             good = path.read_bytes()
             damaged = [good[:cut] for cut in (20, len(good) // 2, len(good) - 2)]
             damaged += [good[:i] + bytes([good[i] ^ 0x40]) + good[i + 1:]
@@ -554,11 +564,12 @@ def cmd_verify(args) -> int:
            Fraction(3), "linear model")
 
     def roundtrip_formats():
-        rows = [(n, v) for n, (v,), _ in _counts(6, engine.Parity.EVEN)]
-        parsed = parse_bfile("\n".join(bfile_lines(rows)))
-        eq(parsed, rows, "bfile roundtrip")
-        triples = [(n, g, g - 1) for n, g in rows]
-        eq(parse_csv_counts("\n".join(csv_lines(triples))), triples, "csv roundtrip")
+        rows = [(n, counts) for n, counts, _ in _counts(6, *engine.Parity)]
+        even = [(n, counts[:1]) for n, counts in rows]
+        eq(parse_bfile("\n".join(count_lines((engine.Parity.EVEN,), even))),
+           [(n, g) for n, (g,) in even], "bfile roundtrip")
+        eq(parse_csv_counts("\n".join(count_lines(tuple(engine.Parity), rows))),
+           [(n, g, h) for n, (g, h) in rows], "csv roundtrip")
 
     check("engine counts match the brute-force oracle", engine_vs_oracle)
     check("monotone growth and the (G+H)/2 bound", growth)
@@ -576,8 +587,10 @@ def cmd_verify(args) -> int:
     check("richardson recovers linear models", extrapolation)
     check("output formats round-trip", roundtrip_formats)
 
-    failed = [name for name, exc in checks if exc is not None]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+    report(f"{len(lines) - len(failed)}/{len(lines)} checks passed")
+    if store is not None:
+        path = store.append("verify.txt", lines)
+        store.record("verify", {"max_n": max_n}, [path])
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

@@ -26,8 +26,8 @@ The starting parity enters only through the depth-0 layer, so a layer holds
 one limb vector per cell and parity, and one advance moves every parity it
 holds.  Above the stabilization cap the counts are periodic in the area with
 period two, so a band keeps exactly two representative values at the cap.  A
-checkpoint stores one parity's limb blocks raw, so saving and loading a layer
-is a copy, not a conversion.
+checkpoint stores the layer's limb blocks raw, every parity it holds, so
+saving and loading a layer is a copy, not a conversion.
 
 One generator, ``extend_counts``, serves every caller that reads counts: it
 advances a start layer (depth 0 or a checkpoint) over the dependence cone of
@@ -38,6 +38,7 @@ horizon of its cone, and so does its checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import struct
@@ -55,11 +56,12 @@ LIMB_MASK = (1 << LIMB_BITS) - 1
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
 # versions 1 and 2 stored decimal digits (2 as area differences), version 3
-# had no horizon, version 4 stored a cone's bands over a box of areas and
-# version 5 one spare limb per cell; all five are refused
-CHECKPOINT_VERSION = 6
-# after the magic: version, parity, depth, band count, limbs per cell,
-# horizon (-1 for a complete layer)
+# had no horizon, version 4 stored a cone's bands over a box of areas,
+# version 5 one spare limb per cell and version 6 one parity only; all six
+# are refused
+CHECKPOINT_VERSION = 7
+# after the magic: version, parity mask (bit p for parity p), depth, band
+# count, limbs per cell, horizon (-1 for a complete layer)
 _CKPT_HEADER = struct.Struct("<IBQQQq")
 _CKPT_BAND = struct.Struct("<qqq")  # y, lo, cap; a limb block follows
 _CKPT_CRC = struct.Struct("<I")
@@ -157,10 +159,11 @@ class Band:
 class Layer:
     """All counts at one recursion depth, one band per height.
 
-    parities lists the starting parities the bands hold, in the order of
-    their parity axis.  horizon is None for a complete layer.  A cone layer
-    holds only the cells that F(horizon, 0, 0) reads, and reads outside its
-    cut bands give 0, so it serves no target beyond its horizon.
+    parities lists the starting parities the bands hold, in increasing order,
+    one per entry of their parity axis.  horizon is None for a complete
+    layer.  A cone layer holds only the cells that F(horizon, 0, 0) reads, and
+    reads outside its cut bands give 0, so it serves no target beyond its
+    horizon.
     """
 
     depth: int
@@ -175,12 +178,6 @@ class Layer:
         """F(depth, y, a) per parity, zero off the bands and period two above a cap."""
         cell = _read_band_range(self.bands, y, a, a + 1, len(self.parities), _nlimbs(self.depth))
         return tuple(_limbs_to_int(limbs) for limbs in cell[0])
-
-    def select(self, parity: Parity) -> "Layer":
-        """The one-parity layer of `parity`, a view of this layer's limbs."""
-        i = self.parities.index(parity)
-        bands = {y: Band(b.lo, b.cap, b.limbs[:, i : i + 1]) for y, b in self.bands.items()}
-        return Layer(self.depth, (self.parities[i],), bands, self.horizon)
 
     @property
     def nbytes(self) -> int:
@@ -229,11 +226,11 @@ def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
 def initial_layer(*parities: Parity) -> Layer:
     """Depth-0 layer: F(0, y, a) = 1 iff y in {0,-1}, a >= 0, a of the parity.
 
-    The layer holds each listed parity, in the order given.
+    The layer holds each listed parity once, in increasing order.
     """
     if not parities:
         raise ValueError("an initial layer needs at least one parity")
-    parities = tuple(map(Parity, parities))
+    parities = tuple(sorted(set(map(Parity, parities))))
     bands = {}
     for y, lo, cap, hi in _band_geometry(0):
         limbs = np.zeros((hi + 1 - lo, len(parities), _nlimbs(0)), dtype=np.int64)
@@ -340,9 +337,9 @@ def extend_counts(
 ) -> Iterator[tuple]:
     """Yield (n, counts, layer) for n = depth + 1 of `layer` up to max_n.
 
-    counts holds one count per parity of the layer, in its order: G(n) for
-    the even parity and H(n) for the odd one.  The first row is the start
-    layer's own.  The layers advance over the dependence cone of
+    counts holds one count per parity of the layer, in increasing parity:
+    G(n) for the even parity and H(n) for the odd one.  The first row is the
+    start layer's own.  The layers advance over the dependence cone of
     (max_n - 1, 0, 0), which holds the origin cell of every depth on the way,
     so one pass yields every row.  With ``complete`` they are complete
     layers, which a checkpoint extended past max_n later needs.
@@ -380,6 +377,31 @@ def count_graphic(n: int, parity: Parity = Parity.EVEN) -> int:
 # checkpoints
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A binary file that replaces `path` only once the block completes.
+
+    It is a temp file in the same directory, fsynced and renamed over `path`,
+    so an interrupted write leaves the previous file intact.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # mkstemp makes the file private; give it the mode open() would give it.
+    # Reading the umask sets it, so a strict one stands in for that moment
+    umask = os.umask(0o077)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _crc_write(fh, data, crc: int) -> int:
     fh.write(data)
     return zlib.crc32(data, crc)
@@ -394,54 +416,38 @@ def _crc_read(fh, size: int, crc: int) -> tuple:
 
 @dataclass
 class Checkpoint:
-    """A serializable snapshot of one layer of one parity, complete or a cone.
+    """A serializable snapshot of one layer, complete or a cone, every parity it holds.
 
     File layout, all little-endian: the magic bytes; the header (version u32,
-    now 6, parity u8, depth u64, band count u64, limbs per cell u64, horizon
-    i64, -1 for a complete layer); per band in increasing height, (y, lo, cap)
-    as i64 and the band's int64 limb block of (hi + 1 - lo) x limbs, where
-    limbs is ceil(2 depth / 60) (one at depth 0) and hi follows from the depth
-    and the horizon (`_band_geometry`); last, the zlib crc32 of everything
-    before it.
+    now 7, parity mask u8 with bit p set for each parity p, depth u64, band
+    count u64, limbs per cell u64, horizon i64, -1 for a complete layer); per
+    band in increasing height, (y, lo, cap) as i64 and the band's int64 limb
+    block of (hi + 1 - lo) x parities x limbs, as in memory, where limbs is
+    ceil(2 depth / 60) (one at depth 0) and hi follows from the depth and the
+    horizon (`_band_geometry`); last, the zlib crc32 of everything before it.
     """
 
     layer: Layer
-
-    @property
-    def parity(self) -> Parity:
-        """The layer's one parity; ValueError for a layer holding several."""
-        if len(self.layer.parities) != 1:
-            raise ValueError(f"a checkpoint holds one parity, the layer holds "
-                             f"{len(self.layer.parities)}; save Layer.select(parity)")
-        return self.layer.parities[0]
 
     @property
     def depth(self) -> int:
         return self.layer.depth
 
     def save(self, path) -> None:
-        """Write atomically: a temp file in the same directory, fsync, rename."""
-        path = Path(path)
-        layer, parity = self.layer, self.parity
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
-                horizon = -1 if layer.horizon is None else layer.horizon
-                crc = _crc_write(fh, _CKPT_HEADER.pack(
-                    CHECKPOINT_VERSION, int(parity), self.depth, len(layer.bands),
-                    _nlimbs(self.depth), horizon), crc)
-                for y in layer.heights():
-                    band = layer.bands[y]
-                    crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
-                    crc = _crc_write(fh, np.ascontiguousarray(band.limbs, dtype="<i8"), crc)
-                fh.write(_CKPT_CRC.pack(crc))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        """Write atomically (`atomic_open`)."""
+        layer = self.layer
+        with atomic_open(path) as fh:
+            crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
+            horizon = -1 if layer.horizon is None else layer.horizon
+            mask = sum(1 << parity for parity in layer.parities)
+            crc = _crc_write(fh, _CKPT_HEADER.pack(
+                CHECKPOINT_VERSION, mask, self.depth, len(layer.bands),
+                _nlimbs(self.depth), horizon), crc)
+            for y in layer.heights():
+                band = layer.bands[y]
+                crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
+                crc = _crc_write(fh, np.ascontiguousarray(band.limbs, dtype="<i8"), crc)
+            fh.write(_CKPT_CRC.pack(crc))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -456,10 +462,12 @@ class Checkpoint:
                 raise CheckpointFormatError(
                     f"unsupported checkpoint format version {version} "
                     f"(this build reads version {CHECKPOINT_VERSION} only)")
-            _, parity, depth, nbands, nl, horizon = _CKPT_HEADER.unpack(header)
+            _, mask, depth, nbands, nl, horizon = _CKPT_HEADER.unpack(header)
+            if not 0 < mask < 1 << len(Parity):
+                raise CheckpointFormatError(f"parity mask {mask} names no set of parities")
+            parities = tuple(parity for parity in Parity if mask >> parity & 1)
             horizon = None if horizon == -1 else horizon
-            if parity not in (Parity.EVEN, Parity.ODD) or nl != _nlimbs(depth) \
-                    or (horizon is not None and horizon < depth):
+            if nl != _nlimbs(depth) or (horizon is not None and horizon < depth):
                 raise CheckpointFormatError("header disagrees with the layer geometry")
             geometry = _band_geometry(depth, horizon)
             bands = {}
@@ -468,7 +476,7 @@ class Checkpoint:
                 got = _CKPT_BAND.unpack(record)
                 if got != (y, lo, cap):
                     raise CheckpointFormatError(f"band {got[0]} disagrees with the layer geometry")
-                limbs = np.empty((hi + 1 - lo, 1, nl), dtype="<i8")
+                limbs = np.empty((hi + 1 - lo, len(parities), nl), dtype="<i8")
                 raw = memoryview(limbs).cast("B")
                 if fh.readinto(raw) != len(raw):
                     raise CheckpointFormatError("checkpoint is truncated")
@@ -481,4 +489,4 @@ class Checkpoint:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
-        return cls(Layer(depth, (Parity(parity),), bands, horizon))
+        return cls(Layer(depth, parities, bands, horizon))

@@ -14,8 +14,7 @@ from graphseq.cli import (
     EXIT_BAD_ARGS,
     EXIT_MEMORY_CHECKPOINT,
     EXIT_OK,
-    bfile_lines,
-    csv_lines,
+    count_lines,
     parse_bfile,
     parse_csv_counts,
     run,
@@ -108,12 +107,13 @@ def test_count_csv_output(capsys):
 
 def test_bfile_roundtrips_through_csv_exporter():
     rows = count_rows(9)
-    bfile = "\n".join(bfile_lines(rows))
+    bfile = "\n".join(count_lines((engine.Parity.EVEN,), [(n, (g,)) for n, g in rows]))
     parsed = parse_bfile(bfile)
     assert parsed == rows
     h = dict(count_rows(9, engine.Parity.ODD))
     triples = [(n, g, h[n]) for n, g in parsed]
-    again = parse_csv_counts("\n".join(csv_lines(triples)))
+    again = parse_csv_counts("\n".join(count_lines(tuple(engine.Parity),
+                                                    [(n, (g, h)) for n, g, h in triples])))
     assert again == triples
 
 
@@ -199,7 +199,7 @@ def test_memory_limit_checkpoints_and_exit_three(tmp_path, capsys):
 
 
 def test_csv_memory_limit_covers_both_parities(tmp_path, capsys):
-    # one two-parity stream holds the whole budget; its even parity is saved
+    # one two-parity stream holds the whole budget, and both parities are saved
     limit = 6000
     code = run([
         "count", "--max-n", "40", "--format", "csv", "--memory-limit", str(limit),
@@ -209,8 +209,29 @@ def test_csv_memory_limit_covers_both_parities(tmp_path, capsys):
     both = engine.initial_layer(engine.Parity.EVEN, engine.Parity.ODD)
     with pytest.raises(engine.MemoryBudgetExceeded) as info:
         list(engine.extend_counts(both, 40, memory_limit=limit))
-    (saved,) = tmp_path.glob("graphseq-even-*.ckpt")
-    assert engine.Checkpoint.load(saved).layer == info.value.layer.select(engine.Parity.EVEN)
+    (saved,) = tmp_path.glob("*.ckpt")
+    assert saved.name == f"graphseq-even-odd-depth{info.value.layer.depth:05d}.ckpt"
+    assert engine.Checkpoint.load(saved).layer == info.value.layer
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "csv"])
+def test_interrupted_count_resumes_losslessly(fmt, tmp_path, capsys):
+    # the rows before the budget stop, then count-ondemand's rows past the
+    # checkpoint (csv: its header dropped), are the uninterrupted output
+    assert run(["count", "--max-n", "40", "--format", fmt]) == EXIT_OK
+    whole = capsys.readouterr().out
+    code = run(["count", "--max-n", "40", "--format", fmt, "--memory-limit", "6000",
+                "--checkpoint-dir", str(tmp_path)])
+    assert code == EXIT_MEMORY_CHECKPOINT
+    head = capsys.readouterr().out
+    (saved,) = tmp_path.glob("*.ckpt")
+    assert saved.name.startswith("graphseq-even-odd-" if fmt == "csv" else "graphseq-even-depth")
+    assert run(["count-ondemand", "--checkpoint", str(saved), "--target-n", "40"]) == EXIT_OK
+    tail = capsys.readouterr().out.splitlines(keepends=True)
+    if fmt == "csv":
+        assert tail.pop(0) == "n,G,H,ratio\n"
+    assert 1 < len(head.splitlines()) < len(whole.splitlines())
+    assert head + "".join(tail) == whole
 
 
 def test_memory_limit_interrupted_run_recorded(tmp_path, capsys):
@@ -315,7 +336,7 @@ def test_count_ondemand_refuses_a_version_4_checkpoint(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
     engine.Checkpoint(layer_at(5)).save(path)
     good = path.read_bytes()
-    for version in (4, 5):  # version 5 kept a spare limb per cell
+    for version in (4, 5, 6):  # 5 kept a spare limb per cell, 6 one parity only
         body = good[:8] + version.to_bytes(4, "little") + good[12:-4]
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         code = run(["count-ondemand", "--checkpoint", str(path), "--target-n", "9"])
@@ -345,6 +366,26 @@ def unusable_dir_failure(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.strip().splitlines()
     return code, line
+
+
+def test_manifest_write_is_atomic(tmp_path, monkeypatch):
+    store = cli.RunStore(tmp_path)
+    store.record("count", {"max_n": 3}, [])
+    good = (tmp_path / "manifest.json").read_text()
+
+    def fail(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        store.record("count", {"max_n": 4}, [])
+    assert (tmp_path / "manifest.json").read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert len(cli.RunStore(tmp_path).manifest["runs"]) == 1
+    # written through a temp file, it still gets the mode of a plain new file
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert (tmp_path / "manifest.json").stat().st_mode == plain.stat().st_mode
 
 
 def test_run_dir_naming_a_file_exits_two(tmp_path, capsys):
@@ -521,3 +562,13 @@ def test_verify_fresh_build_passes(capsys):
     assert run(["verify", "--max-n", "7"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "15/15 checks passed" in out
+
+
+def test_verify_records_its_lines_in_the_run_dir(tmp_path, capsys):
+    assert run(["--run-dir", str(tmp_path), "verify", "--max-n", "4"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert (tmp_path / "verify.txt").read_text() == out
+    assert out.splitlines()[-1] == "15/15 checks passed"
+    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert entry["command"] == "verify" and entry["config"] == {"max_n": 4}
+    assert entry["outputs"] == [str(tmp_path / "verify.txt")]

@@ -28,8 +28,8 @@ from graphseq.engine import (
 from graphseq.oracle import reference_count
 
 
-def layer_at(depth, parity=Parity.EVEN, horizon=None):
-    layer = initial_layer(parity)
+def layer_at(depth, *parities, horizon=None):
+    layer = initial_layer(*(parities or (Parity.EVEN,)))
     for _ in range(depth):
         layer = advance(layer, horizon)
     return layer
@@ -63,11 +63,12 @@ def test_initial_layer_odd():
     assert layer.value(0, 0) == (0,)
 
 
-def test_initial_layer_holds_the_listed_parities_in_order():
-    layer = initial_layer(Parity.ODD, Parity.EVEN)
-    assert layer.parities == (Parity.ODD, Parity.EVEN)
-    assert layer.value(0, 0) == (0, 1) and layer.value(0, 1) == (1, 0)
-    assert layer.select(Parity.EVEN) == initial_layer(Parity.EVEN)
+def test_initial_layer_holds_each_parity_once_in_increasing_order():
+    layer = initial_layer(Parity.ODD, Parity.EVEN, Parity.ODD)
+    assert layer == initial_layer(Parity.EVEN, Parity.ODD)
+    assert layer.parities == (Parity.EVEN, Parity.ODD)
+    assert layer.value(0, 0) == (1, 0) and layer.value(0, 1) == (0, 1)
+    assert initial_layer(Parity.ODD, Parity.ODD) == initial_layer(Parity.ODD)
     with pytest.raises(ValueError):
         initial_layer()
 
@@ -120,23 +121,28 @@ def test_growth_properties():
         assert 2 * values[i] >= values[i - 1] + odd_values[i - 1]
 
 
+def same_bands(layer, i, layer1):
+    """Whether the i-th parity of `layer` has the bands of the one-parity `layer1`."""
+    return layer.bands.keys() == layer1.bands.keys() and all(
+        (b.lo, b.cap) == (b1.lo, b1.cap) and np.array_equal(b.limbs[:, i], b1.limbs[:, 0])
+        for b, b1 in zip(layer.bands.values(), layer1.bands.values()))
+
+
 def test_two_parity_runs_equal_the_one_parity_runs(tmp_path):
-    # band by band, on cone layers, on complete layers and, past a depth-6
-    # checkpoint of each parity, on the one-parity runs from the loaded files
+    # band by band, on cone layers and on complete layers, from depth 0 and
+    # from a loaded depth-6 checkpoint of both parities
+    path = tmp_path / "both.ckpt"
     for complete in (False, True):
-        both = list(extend_counts(initial_layer(Parity.EVEN, Parity.ODD), 60, complete=complete))
+        both = list(extend_counts(initial_layer(*Parity), 60, complete=complete))
         assert len(both) == 60
+        Checkpoint(both[6][2]).save(path)
+        loaded = list(extend_counts(Checkpoint.load(path).layer, 60, complete=complete))
         for i, parity in enumerate(Parity):
-            single = extend_counts(initial_layer(parity), 60, complete=complete)
-            for (n, counts, layer), (n1, (v,), layer1) in zip(both, single, strict=True):
-                assert (n, counts[i]) == (n1, v)
-                assert layer.select(parity) == layer1
-            path = tmp_path / f"{parity.name}.ckpt"
-            Checkpoint(both[6][2].select(parity)).save(path)
-            loaded = extend_counts(Checkpoint.load(path).layer, 60, complete=complete)
-            for (n, counts, layer), (n1, (v,), layer1) in zip(both[6:], loaded, strict=True):
-                assert (n, counts[i]) == (n1, v)
-                assert layer.select(parity) == layer1
+            single = list(extend_counts(initial_layer(parity), 60, complete=complete))
+            for run, start in ((both, single), (loaded, single[6:])):
+                for (n, counts, layer), (n1, (v,), layer1) in zip(run, start, strict=True):
+                    assert (n, counts[i]) == (n1, v)
+                    assert same_bands(layer, i, layer1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +348,7 @@ def test_checkpoint_roundtrip(parity, tmp_path):
     Checkpoint(layer).save(path)
     loaded = Checkpoint.load(path)
     assert loaded.layer == layer
-    assert loaded.depth == 10 and loaded.parity == parity
+    assert loaded.depth == 10 and loaded.layer.parities == (parity,)
     assert loaded.layer.horizon is None
 
 
@@ -358,17 +364,28 @@ def test_checkpoint_roundtrip_cone_layer(parity, tmp_path):
     assert loaded.layer == layer and loaded.layer.horizon == 39
 
 
-def test_checkpoint_refuses_a_two_parity_layer(tmp_path):
-    both = advance(advance(initial_layer(Parity.EVEN, Parity.ODD)))
+def test_checkpoint_roundtrip_and_extend_two_parities(tmp_path):
     path = tmp_path / "both.ckpt"
-    with pytest.raises(ValueError, match="one parity"):
+    want = [(n, (count_graphic(n), count_graphic(n, Parity.ODD))) for n in range(13, 41)]
+    for horizon in (None, 39):  # a complete layer and a cone layer
+        both = layer_at(12, *Parity, horizon=horizon)
         Checkpoint(both).save(path)
-    assert list(tmp_path.iterdir()) == []
-    # each parity alone saves as its one-parity run would
-    for parity in Parity:
-        Checkpoint(both.select(parity)).save(path)
-        Checkpoint(layer_at(2, parity)).save(tmp_path / "single.ckpt")
-        assert path.read_bytes() == (tmp_path / "single.ckpt").read_bytes()
+        loaded = Checkpoint.load(path).layer
+        assert loaded == both and loaded.parities == (Parity.EVEN, Parity.ODD)
+        assert [(n, counts) for n, counts, _ in extend_counts(loaded, 40)] == want
+    # the header's parity byte is the mask of the parities held, bit p for parity p
+    for parities, mask in (((Parity.EVEN,), 1), ((Parity.ODD,), 2), (tuple(Parity), 3)):
+        Checkpoint(layer_at(2, *parities)).save(path)
+        assert path.read_bytes()[12] == mask
+
+
+def test_checkpoint_refuses_a_parity_mask_naming_no_set(tmp_path):
+    _, good = saved_bytes(tmp_path)
+    path = tmp_path / "bad.ckpt"
+    for mask in (0, 4, 5, 255):
+        path.write_bytes(resealed(good[:12] + bytes([mask]) + good[13:-4]))
+        with pytest.raises(CheckpointFormatError, match=f"parity mask {mask}"):
+            Checkpoint.load(path)
 
 
 def test_checkpoint_roundtrip_four_limbs(tmp_path):
@@ -379,10 +396,14 @@ def test_checkpoint_roundtrip_four_limbs(tmp_path):
     assert Checkpoint.load(path).layer == layer
 
 
-def saved_bytes(tmp_path, depth=4, horizon=None):
+def saved_bytes(tmp_path, depth=4, horizon=None, parities=(Parity.EVEN,)):
     path = tmp_path / "layer.ckpt"
-    Checkpoint(layer_at(depth, horizon=horizon)).save(path)
+    Checkpoint(layer_at(depth, *parities, horizon=horizon)).save(path)
     return path, path.read_bytes()
+
+
+# a one-parity layer and a two-parity one
+PARITY_SETS = [(Parity.EVEN,), tuple(Parity)]
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -391,8 +412,8 @@ def test_checkpoint_version_mismatch(tmp_path):
         path.write_bytes(good[:8] + version.to_bytes(4, "little") + good[12:])
         with pytest.raises(CheckpointFormatError, match=f"version {version}"):
             Checkpoint.load(path)
-    # version-4 and version-5 files are refused by their number, not by their checksum
-    for version in (4, 5):
+    # version-4 to version-6 files are refused by their number, not by their checksum
+    for version in (4, 5, 6):
         path.write_bytes(as_version(good, version))
         with pytest.raises(CheckpointFormatError, match=f"version {version}"):
             Checkpoint.load(path)
@@ -406,20 +427,22 @@ def test_checkpoint_version_mismatch(tmp_path):
     "cut", [20, 8 + 37 + 24 + 20, -4], ids=["header", "mid-band", "before-checksum"]
 )
 def test_checkpoint_truncation(cut, tmp_path):
-    for horizon in (None, 7):  # a complete layer and a cone layer
-        path, good = saved_bytes(tmp_path, horizon=horizon)
-        path.write_bytes(good[:cut])
-        with pytest.raises(CheckpointFormatError):
-            Checkpoint.load(path)
+    for parities in PARITY_SETS:
+        for horizon in (None, 7):  # a complete layer and a cone layer
+            path, good = saved_bytes(tmp_path, horizon=horizon, parities=parities)
+            path.write_bytes(good[:cut])
+            with pytest.raises(CheckpointFormatError):
+                Checkpoint.load(path)
 
 
 def test_checkpoint_single_byte_corruption(tmp_path):
-    for horizon in (None, 4):  # a complete layer and a cone layer
-        path, good = saved_bytes(tmp_path, depth=2, horizon=horizon)
-        for i in range(len(good)):
-            path.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1 :])
-            with pytest.raises(CheckpointFormatError):
-                Checkpoint.load(path)
+    for parities in PARITY_SETS:
+        for horizon in (None, 4):  # a complete layer and a cone layer
+            path, good = saved_bytes(tmp_path, depth=2, horizon=horizon, parities=parities)
+            for i in range(len(good)):
+                path.write_bytes(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1 :])
+                with pytest.raises(CheckpointFormatError):
+                    Checkpoint.load(path)
 
 
 def resealed(body):
@@ -455,17 +478,18 @@ def test_checkpoint_horizon_must_match_the_bands(tmp_path):
 
 
 def test_checkpoint_band_count_must_match_the_geometry(tmp_path):
-    layer = layer_at(10, horizon=19)
-    path, good = saved_bytes(tmp_path, depth=10, horizon=19)
-    last_band = engine._CKPT_BAND.size + layer.bands[max(layer.bands)].limbs.nbytes
-    count_at = 8 + 4 + 1 + 8  # magic, version, parity, depth
-    nbands = len(layer.bands)
-    # one band short, its record gone too; one band more than stored
-    for count, body in ((nbands - 1, good[: -4 - last_band]), (nbands + 1, good[:-4])):
-        header = good[:count_at] + count.to_bytes(8, "little")
-        path.write_bytes(resealed(header + body[count_at + 8 :]))
-        with pytest.raises(CheckpointFormatError, match="band count"):
-            Checkpoint.load(path)
+    count_at = 8 + 4 + 1 + 8  # magic, version, parity mask, depth
+    for parities in PARITY_SETS:
+        layer = layer_at(10, *parities, horizon=19)
+        path, good = saved_bytes(tmp_path, depth=10, horizon=19, parities=parities)
+        last_band = engine._CKPT_BAND.size + layer.bands[max(layer.bands)].limbs.nbytes
+        nbands = len(layer.bands)
+        # one band short, its record gone too; one band more than stored
+        for count, body in ((nbands - 1, good[: -4 - last_band]), (nbands + 1, good[:-4])):
+            header = good[:count_at] + count.to_bytes(8, "little")
+            path.write_bytes(resealed(header + body[count_at + 8 :]))
+            with pytest.raises(CheckpointFormatError, match="band count"):
+                Checkpoint.load(path)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
