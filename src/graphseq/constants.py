@@ -10,14 +10,14 @@ and every substituted term has strictly higher x-degree, so the truncation to
 any x-order is computed exactly.  Summing signed excursion areas gives a
 heavy-tailed walk; rho is the probability that this walk returns to zero
 before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
-one step law and one set of landing masses, has two solvers that return
-P(hit 0), P(hit '-') and P(hit '*'): exact rational elimination for small
-grids, and long-double conjugate gradients (one FFT Toeplitz product a step)
-for 0 and '-' on large ones, '*' following from the row sums.  One solve per
-grid gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'), whose CG ends
-are shifted down until they check as sub-solutions, and, by one
-Sherman-Morrison step on the vectors as solved, the amalgamated estimate
-(n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
+one step law and one set of landing masses, has one solver: conjugate
+gradients for P(hit 0) and P(hit '-'), '*' following from the row sums, in
+the pmf's own arithmetic.  Over Fractions, on small grids, CG ends on the
+exact solution; in long doubles each step is one FFT Toeplitz product.  One
+solve per grid gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'),
+whose long-double ends are shifted down until they check as sub-solutions,
+and, by one Sherman-Morrison step on the vectors as solved, the amalgamated
+estimate (n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
 constant of the graphic sequence count is Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
 The simple +/-1 walk admits the same treatment without the flat-step term:
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -236,44 +237,6 @@ def _check_grid(n: int, pmf: AreaPmf) -> None:
         raise ValueError("need K >= n so no interior mass is reassigned")
 
 
-def _solve_exact(matrix: list, rhs: list) -> np.ndarray:
-    """Gaussian elimination over Fractions; one object array per right-hand side."""
-    m = len(matrix)
-    a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return np.array(a, dtype=object)[:, m:].T
-
-
-def chain_hitting_exact(n: int, pmf: AreaPmf) -> dict:
-    """Exact hitting probabilities of 0, '-' and '*' from i = 1..n-1.
-
-    The exact solver: one rational elimination of (I - Q) h = b over the
-    transient states, with the landing masses into 0, '-' and '*' as three
-    right-hand sides.  From i, the walk stays put with the flat mass and
-    moves to j with p[|i - j|].  Returns {"zero", "minus", "star"} as object
-    arrays of Fractions, which sum to one state by state.
-    """
-    _check_grid(n, pmf)
-    if not pmf.exact:
-        raise ValueError("exact solve requires an exact pmf")
-    if n > EXACT_CHAIN_LIMIT:
-        raise ValueError(f"exact solve supports n <= {EXACT_CHAIN_LIMIT}")
-    p, zero_mass, sign = _pmf_arrays(pmf, exact=True)
-    b_minus, b_star = (b[1:] for b in _landing_masses(n, p, sign))
-    states = range(1, n)
-    system = [[1 - zero_mass if i == j else -p[abs(i - j)] for j in states] for i in states]
-    zero, minus, star = _solve_exact(system, [p[1:n], b_minus, b_star])
-    return {"zero": zero, "minus": minus, "star": star}
-
-
 def _toeplitz_spectrum(p, m: int):
     """rfft of the symmetric kernel p[|d|], 0 < |d| < m, as a circulant.
 
@@ -293,20 +256,30 @@ def _toeplitz_product(spectrum, h):
     return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[: len(h)]
 
 
-def _cg_solve(spectrum, rhs, diag):
-    """Conjugate gradients for A h = rhs, A = diag I - T; returns (h, Toeplitz products).
+def _direct_product(p, h):
+    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one direct convolution."""
+    m = len(h)
+    kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=p.dtype), p[1:m]))
+    return np.convolve(h, kernel)[m - 1 : 2 * m - 1]
 
-    A is symmetric and diagonally dominant, so positive definite.  CG stops once
-    max|rhs - A h| / diag, the size of a Jacobi step, is below DEFAULT_SWEEP_TOL;
-    its recursive residual stays within 1e-18 of rhs - A h up to n = 16384.
+
+def _cg_solve(product, rhs, diag):
+    """Conjugate gradients for A h = rhs, A = diag I - T; returns (h, products of T).
+
+    A is symmetric and diagonally dominant, so positive definite.  Over Fractions CG
+    stops on an exactly zero residual, which it reaches within len(rhs) steps.  In long
+    doubles it stops once max|rhs - A h| / diag, the size of a Jacobi step, is below
+    DEFAULT_SWEEP_TOL; its recursive residual stays within 1e-18 of rhs - A h up to
+    n = 16384.
     """
+    tol = 0 if rhs.dtype == object else DEFAULT_SWEEP_TOL  # over Fractions only r = 0 stops
     h = np.zeros_like(rhs)
     r = d = rhs
     rr = np.dot(r, r)
-    for product in range(MAX_SWEEPS):
-        if np.max(np.abs(r)) < DEFAULT_SWEEP_TOL * diag:
-            return h, product
-        ad = diag * d - _toeplitz_product(spectrum, d)
+    for products in range(MAX_SWEEPS):
+        if not r.any() or np.max(np.abs(r)) < tol * diag:
+            return h, products
+        ad = diag * d - product(d)
         alpha = rr / np.dot(d, ad)
         h, r = h + alpha * d, r - alpha * ad
         rr, rr_old = np.dot(r, r), rr
@@ -328,32 +301,37 @@ def _sub_solution(h, p, rhs, diag):
     """
     m = len(h)
     gamma = (m + 2) * np.finfo(LONG).eps
-    kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=LONG), p[1:m]))
     cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:m])))
     escape = diag - cum - cum[::-1]
     f = (rhs + _toeplitz_product(_toeplitz_spectrum(p, m), h)) / diag
     step = (np.max(np.abs(f - h)) + gamma * np.max(f)) * diag / np.min(escape)
     for trial in (np.maximum(h - step * k, 0) for k in (1, 2, 4, 8)):
-        f = (rhs + np.convolve(trial, kernel)[m - 1 : 2 * m - 1]) / diag
+        f = (rhs + _direct_product(p, trial)) / diag
         if np.all(f - trial >= gamma * f):
             return trial
     return np.zeros_like(h)
 
 
 def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
-    """Hitting probabilities of 0, '-' and '*' by conjugate gradients, in long doubles.
+    """Hitting probabilities of 0, '-' and '*' from i = 1..n-1 by conjugate gradients.
 
-    The interior operator is Toeplitz, so each CG step is one FFT product with the
-    circulant that embeds it.  Two solves give "zero" and "minus" for i = 1..n-1;
-    "star" is 1 - zero - minus, since the row sums are A 1 = b_zero + b_minus + b_star
-    (diag = 2 sign) and absorption is certain.  "sweeps" counts Toeplitz products.
-    The vectors are as CG leaves them; `rho_bounds` shifts and checks the bracket ends.
+    The transient system (I - Q) h = b is A = diag I - T, T Toeplitz: from i the walk
+    stays put with the flat mass and moves to j with p[|i - j|].  An exact pmf on a grid
+    n <= EXACT_CHAIN_LIMIT is solved over Fractions, each product direct, so the vectors
+    are the exact solution; otherwise in long doubles, each product one FFT with the
+    circulant that embeds T.  Two solves give "zero" and "minus"; "star" is
+    1 - zero - minus, since the row sums are A 1 = b_zero + b_minus + b_star
+    (diag = 2 sign) and absorption is certain.  "sweeps" counts products of T.  The
+    long-double vectors are as CG leaves them; `rho_bounds` shifts and checks the
+    bracket ends.
     """
     _check_grid(n, pmf)
-    p, zero_mass, sign = _pmf_arrays(pmf)
-    spectrum = _toeplitz_spectrum(p, n - 1)
+    exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
+    p, zero_mass, sign = _pmf_arrays(pmf, exact)
+    product = (partial(_direct_product, p) if exact
+               else partial(_toeplitz_product, _toeplitz_spectrum(p, n - 1)))
     b_minus = _landing_masses(n, p, sign)[0][1:]
-    (zero, s1), (minus, s2) = (_cg_solve(spectrum, b, 1 - zero_mass) for b in (p[1:n], b_minus))
+    (zero, s1), (minus, s2) = (_cg_solve(product, b, 1 - zero_mass) for b in (p[1:n], b_minus))
     return {"zero": zero, "minus": minus, "star": 1 - zero - minus, "sweeps": s1 + s2}
 
 
@@ -367,7 +345,7 @@ class RhoEstimate:
     mode: str  # "exact-rational" | "iterative"
     n: int
     kind: str
-    sweeps: int = 0  # Toeplitz products of the iterative solve; 0 for the exact one
+    sweeps: int = 0  # FFT Toeplitz products of a long-double solve; 0 for an exact one
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -397,8 +375,8 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     merged hit-zero vector.  It is sound only if the hit-zero probability
     decreases in the start state, which is unproven, so it is no bound.
     """
-    exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
-    h = chain_hitting_exact(n, pmf) if exact else chain_hitting_iterative(n, pmf)
+    h = chain_hitting_iterative(n, pmf)
+    exact = h["zero"].dtype == object  # the solver chose Fractions
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     zero, minus, star = h["zero"], h["minus"], h["star"]
     b_minus, b_star = _landing_masses(n, p, sign)

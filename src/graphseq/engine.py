@@ -470,12 +470,16 @@ class Checkpoint:
             if nl != _nlimbs(depth) or (horizon is not None and horizon < depth):
                 raise CheckpointFormatError("header disagrees with the layer geometry")
             geometry = _band_geometry(depth, horizon)
+            size = os.fstat(fh.fileno()).st_size
             bands = {}
             for y, lo, cap, hi in itertools.islice(geometry, nbands):
                 record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
                 got = _CKPT_BAND.unpack(record)
                 if got != (y, lo, cap):
                     raise CheckpointFormatError(f"band {got[0]} disagrees with the layer geometry")
+                # a crafted header may name a band far larger than the file
+                if 8 * (hi + 1 - lo) * len(parities) * nl > size - fh.tell():
+                    raise CheckpointFormatError("checkpoint is truncated")
                 limbs = np.empty((hi + 1 - lo, len(parities), nl), dtype="<i8")
                 raw = memoryview(limbs).cast("B")
                 if fh.readinto(raw) != len(raw):

@@ -155,7 +155,7 @@ def test_criterion_04_series():
 @report(5, "two-state worked chain reproduced as exact rationals")
 def test_criterion_05_chain_exactness():
     pmf = constants.area_pmf(2, exact=True)
-    h = constants.chain_hitting_exact(2, pmf)
+    h = constants.chain_hitting_iterative(2, pmf)
     assert h["zero"][0] == F(1, 8)
     assert h["star"][0] == F(1, 2)
     est = constants.rho_bounds(2, pmf)

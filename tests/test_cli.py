@@ -332,6 +332,18 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
     assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
 
 
+def test_count_ondemand_refuses_a_band_larger_than_the_file(tmp_path, capsys):
+    # a 69-byte file whose header names an 828 GiB first band
+    depth, horizon = 10**8, 10**8 + 10**5
+    y, lo, cap, _ = next(engine._band_geometry(depth, horizon))
+    path = tmp_path / "crafted.ckpt"
+    path.write_bytes(engine.CHECKPOINT_MAGIC + engine._CKPT_HEADER.pack(
+        engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
+        + engine._CKPT_BAND.pack(y, lo, cap))
+    argv = ["--checkpoint", str(path), "--target-n", str(horizon + 1)]
+    assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
+
+
 def test_count_ondemand_refuses_a_version_4_checkpoint(tmp_path, capsys):
     path = tmp_path / "even.ckpt"
     engine.Checkpoint(layer_at(5)).save(path)
@@ -519,6 +531,17 @@ def test_constants_refuses_rho_extrapolated_outside_the_unit_interval(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("graphseq constants: rho extrapolates to -0.3945, "
+                            "outside [0, 1); use larger grids\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_constants_refuses_rho_hat_extrapolated_outside_the_unit_interval(tmp_path, capsys):
+    # over grids 2 and 3 rho extrapolates to 0.5156 but rho_hat to -0.125
+    code = run(["--run-dir", str(tmp_path), "constants", "--grids", "2,3"])
+    assert code == EXIT_BAD_ARGS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("graphseq constants: rho_hat extrapolates to -0.1250, "
                             "outside [0, 1); use larger grids\n")
     assert not (tmp_path / "manifest.json").exists()
 

@@ -15,7 +15,6 @@ from graphseq.constants import (
     area_pmf,
     c_empirical,
     c_from_rho,
-    chain_hitting_exact,
     chain_hitting_iterative,
     parity_gap,
     rho_bounds,
@@ -214,7 +213,7 @@ def test_chain_rows_sum_to_one(n, kind):
 
 def test_chain_requires_enough_coefficients():
     pmf = area_pmf(3, "lazy", exact=True)
-    for solve in (chain_hitting_exact, chain_hitting_iterative, rho_bounds):
+    for solve in (chain_hitting_iterative, rho_bounds):
         with pytest.raises(ValueError, match="need K >= n"):
             solve(5, pmf)
 
@@ -223,11 +222,10 @@ def test_chain_requires_enough_coefficients():
     "n,message", [(1, "grid size must be >= 2"), (20, "need K >= n")], ids=["n1", "n20"])
 def test_solvers_refuse_a_bad_grid_alike(n, message):
     exact, floats = area_pmf(10, "lazy", exact=True), float_pmf(10, "lazy")
-    calls = [(chain_hitting_exact, exact), (chain_hitting_iterative, floats)]
-    calls += [(rho_bounds, pmf) for pmf in (exact, floats)]
-    for solve, pmf in calls:
-        with pytest.raises(ValueError, match=message):
-            solve(n, pmf)
+    for solve in (chain_hitting_iterative, rho_bounds):
+        for pmf in (exact, floats):
+            with pytest.raises(ValueError, match=message):
+                solve(n, pmf)
 
 
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
@@ -247,7 +245,7 @@ def test_truncation_order_beyond_the_grid_changes_nothing(kind):
 
 def test_exact_hitting_probabilities_n2():
     pmf = area_pmf(2, "lazy", exact=True)
-    h = chain_hitting_exact(2, pmf)
+    h = chain_hitting_iterative(2, pmf)
     assert h["zero"][0] == F(1, 8)
     assert h["star"][0] == F(1, 2)
 
@@ -256,9 +254,15 @@ def test_exact_hitting_probabilities_n2():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exact_hitting_probabilities_sum_to_one(n, kind):
     pmf = area_pmf(16, kind, exact=True)
-    h = chain_hitting_exact(n, pmf)
-    for zero, minus, star in zip(h["zero"], h["minus"], h["star"]):
-        assert zero + minus + star == 1
+    h = chain_hitting_iterative(n, pmf)
+    # each vector solves its chain exactly, so it is the unique solution: from
+    # i, h_i = b_i + sum_j Q_ij h_j, b_i the mass landing in its absorbing state
+    rows = chain_rows(n, pmf)
+    for name, landing in (("zero", 1), ("minus", 0), ("star", -1)):
+        assert h[name].dtype == object and all(isinstance(v, F) for v in h[name]), name
+        for i, row in enumerate(rows[1:]):
+            step = row[landing] + sum(row[j + 1] * h[name][j - 1] for j in range(1, n))
+            assert step == h[name][i], name
     # 1 - P(hit '-') equals P(hit 0) + P(hit '*') from the start state
     start_star = constants.STEP_LAW[kind][0] - sum(pmf.p[1:n])
     to_star = start_star + sum(pmf.p[j] * h["star"][j - 1] for j in range(1, n))
@@ -329,6 +333,7 @@ def test_fft_product_matches_direct_convolution(m):
     h = np.random.default_rng(m).random(m).astype(np.longdouble)
     kernel = np.concatenate((p[m - 1 : 0 : -1], [np.longdouble(0)], p[1:m]))
     direct = np.convolve(h, kernel)[m - 1 : 2 * m - 1]
+    assert np.array_equal(constants._direct_product(p, h), direct)
     fast = constants._toeplitz_product(constants._toeplitz_spectrum(p, m), h)
     assert fast.dtype == np.longdouble
     assert float(np.max(np.abs(fast - direct))) <= 1e-17
@@ -418,7 +423,8 @@ def test_conjugate_gradient_products_and_accuracy(kind):
     # the stopping rule holds for the residual recomputed from the solution
     spectrum = constants._toeplitz_spectrum(p, n - 1)
     for rhs in (p[1:n], b_minus, b_star):
-        h, _ = constants._cg_solve(spectrum, rhs, 1 - zero_mass)
+        h, _ = constants._cg_solve(
+            lambda d: constants._toeplitz_product(spectrum, d), rhs, 1 - zero_mass)
         residual = direct_image(n, pmf, rhs, h) - h
         assert float(np.max(np.abs(residual))) < constants.DEFAULT_SWEEP_TOL
 

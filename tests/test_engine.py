@@ -492,6 +492,26 @@ def test_checkpoint_band_count_must_match_the_geometry(tmp_path):
                 Checkpoint.load(path)
 
 
+def huge_band_header():
+    """69 bytes: a version-7 header at depth 10^8 and the first band record it implies.
+
+    That band alone would take 828 GiB, so it must be refused before it is allocated.
+    """
+    depth, horizon = 10**8, 10**8 + 10**5
+    header = engine._CKPT_HEADER.pack(
+        engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
+    y, lo, cap, _ = next(engine._band_geometry(depth, horizon))
+    return engine.CHECKPOINT_MAGIC + header + engine._CKPT_BAND.pack(y, lo, cap)
+
+
+def test_checkpoint_band_larger_than_the_file_is_refused_unallocated(tmp_path):
+    path = tmp_path / "crafted.ckpt"
+    path.write_bytes(huge_band_header())
+    assert path.stat().st_size == 69
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        Checkpoint.load(path)
+
+
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     path, _ = saved_bytes(tmp_path)
 
