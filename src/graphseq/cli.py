@@ -175,7 +175,11 @@ def _save_checkpoint(layer, directory: Path) -> Path:
 
 
 def _counts(max_n: int, *parities, memory_limit: int | None = None, complete: bool = False):
-    """(n, counts, layer) rows for n = 1..max_n from the depth-0 layer of `parities`."""
+    """(n, counts, layer) rows for n = 1..max_n from the depth-0 layer of `parities`.
+
+    A row's layer stays valid until the next row is asked for; the advance
+    to the next row frees it.
+    """
     return engine.extend_counts(engine.initial_layer(*parities), max_n, memory_limit, complete)
 
 
@@ -202,7 +206,8 @@ def cmd_count(args) -> int:
     def rows():
         for n, counts, layer in stream:
             yield n, counts
-            # runs once the row's line is printed, as the consumer asks for the next
+            # runs once the row's line is printed, as the consumer asks for the
+            # next, and before the stream's next advance frees `layer`
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, ckpt_dir)
             if cost is not None and layer.depth:  # the depth-0 start is not advanced
@@ -360,6 +365,10 @@ def cmd_rho(args) -> int:
     if extrapolate:
         pts = [(n, solved[n].estimate) for n in extrapolate]
         extrapolated = float(constants.richardson(pts))  # a Fraction when every grid is exact
+        if not 0 <= extrapolated < 1:  # no probability, as in `constants`
+            label = "rho" if args.kind == "lazy" else "rho_hat"
+            return _fail("rho", f"{label} extrapolates to {extrapolated:.4f}, "
+                         "outside [0, 1); use larger grids", EXIT_BAD_ARGS)
         human.append(f"richardson over {extrapolate}: {extrapolated:.12f} (non-rigorous)")
         lines.append(f"{extrapolate[-1]},{order},,,,{extrapolated:.12f}")
     for line in human:

@@ -33,7 +33,10 @@ One generator, ``extend_counts``, serves every caller that reads counts: it
 advances a start layer (depth 0 or a checkpoint) over the dependence cone of
 its last target, the only cells that target reads, or over complete layers
 when a checkpoint is to be extended further later.  A layer records the
-horizon of its cone, and so does its checkpoint.
+horizon of its cone, and so does its checkpoint.  Child band y reads parent
+bands y - 1, y and y + 1 only, so ``extend_counts`` frees each parent band
+once no later child band reads it: a row's layer stays valid until the next
+row is asked for, the start layer included.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class Band:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class Layer:
     """All counts at one recursion depth, one band per height.
 
@@ -171,12 +174,19 @@ class Layer:
     bands: dict
     horizon: int | None = None
 
+    def __eq__(self, other) -> bool:
+        # spelled out so that comparing a consumed layer (bands None) raises
+        return (isinstance(other, Layer) and self.depth == other.depth
+                and self.parities == other.parities and self.horizon == other.horizon
+                and self.bands.items() == other.bands.items())
+
     def heights(self) -> list:
         return sorted(self.bands)
 
     def value(self, y: int, a: int) -> tuple:
         """F(depth, y, a) per parity, zero off the bands and period two above a cap."""
-        cell = _read_band_range(self.bands, y, a, a + 1, len(self.parities), _nlimbs(self.depth))
+        cell = np.zeros((1, len(self.parities), _nlimbs(self.depth)), dtype=np.int64)
+        _add_band_range(cell, self.bands, y, a)
         return tuple(_limbs_to_int(limbs) for limbs in cell[0])
 
     @property
@@ -240,35 +250,31 @@ def initial_layer(*parities: Parity) -> Layer:
     return Layer(0, parities, bands)
 
 
-def _read_band_range(bands: dict, y: int, start: int, stop: int,
-                     npar: int, nl: int) -> np.ndarray:
-    """Values F(y, a) for a in [start, stop) as a (stop - start, npar, nl) array.
+def _add_band_range(out: np.ndarray, bands: dict, y: int, start: int) -> None:
+    """Add F(y, a) for a in [start, start + len(out)) into the rows of `out`, in place.
 
-    Reads below the band are zero (boundary / floor pruning).  Reads above a
-    full band, one stored up to cap + 1, repeat the two cap representatives
-    by area parity; a cone band is never read outside its stored rows.
+    Reads below the band add nothing (boundary / floor pruning).  Reads above
+    a full band, one stored up to cap + 1, repeat the two cap representatives
+    by area parity; a cone band is never read outside its stored rows.  A
+    parent band may hold fewer limbs than `out`; it adds to the low ones.
     """
-    out = np.zeros((stop - start, npar, nl), dtype=np.int64)
     band = bands.get(y)
     if band is None:
-        return out
-    lo, cap = band.lo, band.cap
-    src = band.limbs
-    snl = src.shape[2]
-    end = lo + src.shape[0]  # one past the last stored area
-    d0 = max(start, lo)
-    d1 = min(stop, end)
+        return
+    lo, cap, src = band.lo, band.cap, band.limbs
+    out = out[..., : src.shape[2]]
+    stop = start + len(out)
+    end = lo + len(src)  # one past the last stored area
+    d0, d1 = max(start, lo), min(stop, end)
     if d0 < d1:
-        out[d0 - start : d1 - start, :, :snl] = src[d0 - lo : d1 - lo]
+        rows = out[d0 - start : d1 - start]
+        np.add(rows, src[d0 - lo : d1 - lo], out=rows)
     if stop > end == cap + 2:
         t0 = max(start, cap + 2)
-        first_even = t0 + ((cap - t0) & 1)  # first a >= t0 with a - cap even
-        first_odd = t0 + ((cap + 1 - t0) & 1)
-        if first_even < stop:
-            out[first_even - start :: 2, :, :snl] = src[cap - lo]
-        if first_odd < stop:
-            out[first_odd - start :: 2, :, :snl] = src[cap + 1 - lo]
-    return out
+        for rep in (cap, cap + 1):
+            first = t0 + ((rep - t0) & 1)  # first a >= t0 with a - rep even
+            rows = out[first - start :: 2]
+            np.add(rows, src[rep - lo], out=rows)
 
 
 def _carry_normalize(arr: np.ndarray) -> np.ndarray:
@@ -292,41 +298,72 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
         words[1:] += carry[:-1]
 
 
-def _advance_band(parent_bands: dict, y: int, lo: int, cap: int, hi: int,
-                  npar: int, nl: int) -> Band:
-    up = _read_band_range(parent_bands, y + 1, lo + y + 1, hi + y + 2, npar, nl)
-    down = _read_band_range(parent_bands, y - 1, lo + y - 1, hi + y, npar, nl)
-    flat = _read_band_range(parent_bands, y, lo + y, hi + y + 1, npar, nl)
-    up += down  # accumulated in place: up + down + 2 flat
-    flat <<= 1
-    up += flat
-    return Band(lo, cap, _carry_normalize(up))
+def _check_advance(layer: Layer, horizon: int | None) -> None:
+    if (horizon is not None and horizon <= layer.depth) or (
+            layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
+        raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
+                         f"cannot advance to horizon {horizon}")
 
 
-def advance(layer: Layer, horizon: int | None = None) -> Layer:
+def advance(layer: Layer, horizon: int | None = None, *, consume: bool = False) -> Layer:
     """Produce the layer one depth further, reading the parent only.
 
     With a horizon the new layer holds only the cone of (horizon, 0, 0).  The
     cone of a horizon holds the cone of every smaller one, so a cone parent
     advances to any horizon up to its own, never to a larger one or to a
     complete layer.
+
+    Child bands are built in increasing height, and child band y reads parent
+    bands y - 1, y and y + 1 only.  With ``consume`` the parent's bands below
+    y - 1 are freed before child band y is built, so its band y - 1 goes as
+    soon as child band y exists, and the parent is left with no bands: any
+    later read, save or size of it raises.  Without it the parent stays as it
+    was.
     """
+    _check_advance(layer, horizon)
     depth = layer.depth + 1
-    if (horizon is not None and horizon < depth) or (
-            layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
-        raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
-                         f"cannot advance to horizon {horizon}")
+    parent = layer.bands
     npar, nl = len(layer.parities), _nlimbs(depth)
-    bands = {
-        y: _advance_band(layer.bands, y, lo, cap, hi, npar, nl)
-        for y, lo, cap, hi in _band_geometry(depth, horizon)
-    }
+    bands = {}
+    unread = sorted(parent) if consume else []  # parent heights to free, increasing
+    i = 0
+    for y, lo, cap, hi in _band_geometry(depth, horizon):
+        while i < len(unread) and unread[i] < y - 1:  # read by no child band from y on
+            del parent[unread[i]]
+            i += 1
+        out = np.zeros((hi + 1 - lo, npar, nl), dtype=np.int64)
+        # up + down + 2 flat, added in place into the child band
+        _add_band_range(out, parent, y, lo + y)
+        out <<= 1
+        _add_band_range(out, parent, y + 1, lo + y + 1)
+        _add_band_range(out, parent, y - 1, lo + y - 1)
+        bands[y] = Band(lo, cap, _carry_normalize(out))
+    if consume:
+        layer.bands = None
     return Layer(depth, layer.parities, bands, horizon)
 
 
-def _estimate_layer_bytes(depth: int, horizon: int | None = None, npar: int = 1) -> int:
-    cells = sum(hi + 1 - lo for _, lo, _, hi in _band_geometry(depth, horizon))
-    return cells * npar * _nlimbs(depth) * 8
+def _band_bytes(depth: int, horizon: int | None = None, npar: int = 1) -> Iterator[tuple]:
+    """(y, bytes) of each band of the layer at `depth`, in increasing height."""
+    for y, lo, _, hi in _band_geometry(depth, horizon):
+        yield y, (hi + 1 - lo) * npar * _nlimbs(depth) * 8
+
+
+def _advance_peak_bytes(layer: Layer, horizon: int | None) -> int:
+    """Most bytes a consuming advance of `layer` holds at once.
+
+    While child band y is built the parent holds its bands at heights y - 1
+    and up, and the child its bands at heights y and below.
+    """
+    parent = sorted((y, band.limbs.nbytes) for y, band in layer.bands.items())
+    held, peak, i = sum(nbytes for _, nbytes in parent), 0, 0
+    for y, nbytes in _band_bytes(layer.depth + 1, horizon, len(layer.parities)):
+        while i < len(parent) and parent[i][0] < y - 1:
+            held -= parent[i][1]
+            i += 1
+        held += nbytes
+        peak = max(peak, held)
+    return peak
 
 
 def extend_counts(
@@ -344,23 +381,25 @@ def extend_counts(
     so one pass yields every row.  With ``complete`` they are complete
     layers, which a checkpoint extended past max_n later needs.
 
-    Before each advance the start layer (held throughout), the parent and the
-    estimated child are checked against ``memory_limit`` bytes; past it,
-    MemoryBudgetExceeded carries the parent.
+    Each advance consumes its parent (``advance`` with ``consume``), so a
+    row's layer stays valid until the next row is asked for; this includes
+    the start layer.  Before each advance its peak, the parent bands still
+    read plus the child bands built so far, is checked against
+    ``memory_limit`` bytes; past it, MemoryBudgetExceeded carries the parent,
+    intact.
     """
-    start = layer
-    if max_n < start.depth + 1:
-        raise ValueError(f"max_n must be at least the start layer's n = {start.depth + 1}")
+    if max_n < layer.depth + 1:
+        raise ValueError(f"max_n must be at least the start layer's n = {layer.depth + 1}")
     horizon = None if complete else max_n - 1
-    yield start.depth + 1, start.value(0, 0), start
-    for depth in range(start.depth + 1, max_n):
+    if max_n > layer.depth + 1:  # a target the layer cannot reach yields no row
+        _check_advance(layer, horizon)
+    yield layer.depth + 1, layer.value(0, 0), layer
+    for depth in range(layer.depth + 1, max_n):
         if memory_limit is not None:
-            needed = layer.nbytes + _estimate_layer_bytes(depth, horizon, len(layer.parities))
-            if layer is not start:
-                needed += start.nbytes
+            needed = _advance_peak_bytes(layer, horizon)
             if needed > memory_limit:
                 raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
-        layer = advance(layer, horizon)
+        layer = advance(layer, horizon, consume=True)
         yield depth + 1, layer.value(0, 0), layer
 
 

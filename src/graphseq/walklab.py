@@ -51,7 +51,8 @@ def persistence_exact(n: int, end: str = End.ZERO) -> Fraction:
     the depth-0 layer keeps only its band at height 0.  The engine's caps
     and floors were derived for walks ending in {0, -1}; they stay valid for
     the subset that ends at 0, since no such walk can lose more area, or
-    need less, than the larger set allows.
+    need less, than the larger set allows.  Each advance frees the layer it
+    reads, the trimmed start layer included, so the run holds about one layer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -546,6 +546,22 @@ def test_constants_refuses_rho_hat_extrapolated_outside_the_unit_interval(tmp_pa
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("kind, grids, label, value", [
+    ("simple", "2,3", "rho_hat", "-0.1250"),
+    ("lazy", "2,3,4,5,6,7,8", "rho", "-0.3945"),
+])
+def test_rho_refuses_an_extrapolation_outside_the_unit_interval(
+        kind, grids, label, value, tmp_path, capsys):
+    code = run(["--run-dir", str(tmp_path), "rho", "--kind", kind, "--grid", "3",
+                "--extrapolate", grids])
+    assert code == EXIT_BAD_ARGS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"graphseq rho: {label} extrapolates to {value}, "
+                            "outside [0, 1); use larger grids\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_chain_manifests_record_products_and_bracket_widths(tmp_path, capsys):
     assert run(["--run-dir", str(tmp_path), "constants", "--grids", "32,64"]) == EXIT_OK
     assert run(["--run-dir", str(tmp_path), "rho", "--grid", "4", "--grid", "48",

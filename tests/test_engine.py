@@ -1,5 +1,7 @@
 """Layer recursion: initial condition, advances, caps, checkpoints, extension."""
 
+import copy
+import itertools
 import os
 import sys
 import zlib
@@ -90,6 +92,14 @@ def test_advance_twice_matches_small_oracle():
     assert odd.value(0, 0) == (1,)  # H(3): only (1,1,1) dominates with odd sum
 
 
+@pytest.mark.parametrize("horizon", [None, 20])
+def test_advance_leaves_its_parent_as_it_was(horizon):
+    parent = layer_at(8, *Parity, horizon=horizon)
+    before = copy.deepcopy(parent)
+    assert advance(parent, horizon) == layer_at(9, *Parity, horizon=horizon)
+    assert parent == before
+
+
 def test_count_graphic_spot_values():
     assert count_graphic(1) == 1
     assert count_graphic(2) == 2
@@ -130,19 +140,27 @@ def same_bands(layer, i, layer1):
 
 def test_two_parity_runs_equal_the_one_parity_runs(tmp_path):
     # band by band, on cone layers and on complete layers, from depth 0 and
-    # from a loaded depth-6 checkpoint of both parities
+    # from a loaded depth-6 checkpoint of both parities.  Each row's layer is
+    # consumed by the next advance, so the runs are compared as they stream
     path = tmp_path / "both.ckpt"
+
+    def compare(run, complete, skip=0):
+        singles = [itertools.islice(extend_counts(initial_layer(parity), 60, complete=complete),
+                                    skip, None) for parity in Parity]
+        rows = 0
+        for (n, counts, layer), *single in zip(run, *singles, strict=True):
+            for i, (n1, (v,), layer1) in enumerate(single):
+                assert (n, counts[i]) == (n1, v)
+                assert same_bands(layer, i, layer1)
+            if layer.depth == 6:
+                Checkpoint(layer).save(path)
+            rows += 1
+        return rows
+
     for complete in (False, True):
-        both = list(extend_counts(initial_layer(*Parity), 60, complete=complete))
-        assert len(both) == 60
-        Checkpoint(both[6][2]).save(path)
-        loaded = list(extend_counts(Checkpoint.load(path).layer, 60, complete=complete))
-        for i, parity in enumerate(Parity):
-            single = list(extend_counts(initial_layer(parity), 60, complete=complete))
-            for run, start in ((both, single), (loaded, single[6:])):
-                for (n, counts, layer), (n1, (v,), layer1) in zip(run, start, strict=True):
-                    assert (n, counts[i]) == (n1, v)
-                    assert same_bands(layer, i, layer1)
+        assert compare(extend_counts(initial_layer(*Parity), 60, complete=complete), complete) == 60
+        loaded = extend_counts(Checkpoint.load(path).layer, 60, complete=complete)
+        assert compare(loaded, complete, skip=6) == 54
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +582,8 @@ def test_extend_counts_equals_stream_counts(parity, tmp_path):
     loaded = Checkpoint.load(path).layer
     assert loaded.horizon == 59
     assert count_rows(loaded, 60) == complete[21:]
-    assert count_rows(loaded, 45) == complete[21:45]
+    # the extension consumed `loaded`; the checkpoint is read again
+    assert count_rows(Checkpoint.load(path).layer, 45) == complete[21:45]
 
 
 def test_extend_counts_leaves_the_recursion_limit_alone():
@@ -601,23 +620,51 @@ def test_extend_memory_budget():
     assert info.value.needed > info.value.budget == 1000
 
 
-def test_extend_budget_counts_the_checkpoint_on_every_step():
-    # the start layer stays alive: past the first step the process holds it,
-    # the cone parent and the cone child at once
-    start = layer_at(12)
+def test_extend_budget_is_the_peak_of_the_consuming_advance():
+    # each advance frees parent band y - 1 once child band y exists, and the
+    # start layer (a checkpoint's) is consumed like any parent: while child
+    # band y is built the process holds the parent bands at heights y - 1 and
+    # up and the child bands at heights y and below
     max_n = 30
-    parent, peak, peak_parent = start, 0, None
-    for _ in range(start.depth + 1, max_n):
+    parent, peak, peak_depth, whole = layer_at(12), 0, None, 0
+    for _ in range(13, max_n):
         child = advance(parent, max_n - 1)
-        kept = 0 if parent is start else start.nbytes
-        if kept + parent.nbytes + child.nbytes > peak:
-            peak, peak_parent = kept + parent.nbytes + child.nbytes, parent
+        for y in child.heights():
+            held = sum(band.limbs.nbytes for h, band in parent.bands.items() if h >= y - 1)
+            held += sum(band.limbs.nbytes for h, band in child.bands.items() if h <= y)
+            if held > peak:
+                peak, peak_depth = held, parent.depth
+        whole = max(whole, parent.nbytes + child.nbytes)
         parent = child
-    assert count_rows(start, max_n, memory_limit=peak) == count_rows(start, max_n)
+    assert peak < whole  # below holding the parent and the child whole
+    rows = count_rows(layer_at(12), max_n)
+    assert count_rows(layer_at(12), max_n, memory_limit=peak) == rows
     with pytest.raises(MemoryBudgetExceeded) as info:
-        list(extend_counts(start, max_n, memory_limit=peak - 1))
-    assert info.value.layer.depth == peak_parent.depth
+        list(extend_counts(layer_at(12), max_n, memory_limit=peak - 1))
+    assert info.value.layer.depth == peak_depth
     assert info.value.needed == peak
+
+
+def test_a_consumed_layer_fails_on_any_use(tmp_path):
+    parent = layer_at(5, *Parity)
+    child = advance(parent, consume=True)
+    assert child == layer_at(6, *Parity)  # consuming changes no count
+    uses = (lambda: parent.value(0, 0), lambda: parent.nbytes, parent.heights,
+            lambda: parent == copy.copy(parent),
+            lambda: Checkpoint(parent).save(tmp_path / "consumed.ckpt"),
+            lambda: advance(parent), lambda: list(extend_counts(parent, 9)))
+    for use in uses:
+        with pytest.raises((AttributeError, TypeError)):
+            use()
+    assert not any(tmp_path.iterdir())
+    # a row's layer stays valid until the next row is asked for, the start included
+    previous = None
+    for n, (count,), layer in extend_counts(layer_at(3), 9):
+        assert layer.value(0, 0) == (count,) == (count_graphic(n),)
+        if previous is not None:
+            with pytest.raises(AttributeError):
+                previous.value(0, 0)
+        previous = layer
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +677,8 @@ def test_layer_estimate_is_the_advanced_layer_size(parities, horizon):
     layer = initial_layer(*parities)
     for depth in range(1, 41):
         layer = advance(layer, horizon)
-        assert engine._estimate_layer_bytes(depth, horizon, len(parities)) == layer.nbytes
+        assert dict(engine._band_bytes(depth, horizon, len(parities))) == {
+            y: band.limbs.nbytes for y, band in layer.bands.items()}
 
 
 def test_stream_counts_memory_budget():
