@@ -298,15 +298,8 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
         words[1:] += carry[:-1]
 
 
-def _check_advance(layer: Layer, horizon: int | None) -> None:
-    if (horizon is not None and horizon <= layer.depth) or (
-            layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
-        raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
-                         f"cannot advance to horizon {horizon}")
-
-
-def advance(layer: Layer, horizon: int | None = None, *, consume: bool = False) -> Layer:
-    """Produce the layer one depth further, reading the parent only.
+def advance(layer: Layer, horizon: int | None = None) -> Layer:
+    """Produce the layer one depth further, consuming the parent.
 
     With a horizon the new layer holds only the cone of (horizon, 0, 0).  The
     cone of a horizon holds the cone of every smaller one, so a cone parent
@@ -314,18 +307,21 @@ def advance(layer: Layer, horizon: int | None = None, *, consume: bool = False) 
     complete layer.
 
     Child bands are built in increasing height, and child band y reads parent
-    bands y - 1, y and y + 1 only.  With ``consume`` the parent's bands below
-    y - 1 are freed before child band y is built, so its band y - 1 goes as
-    soon as child band y exists, and the parent is left with no bands: any
-    later read, save or size of it raises.  Without it the parent stays as it
-    was.
+    bands y - 1, y and y + 1 only, so the parent's bands below y - 1 are freed
+    before child band y is built.  The parent is left with no bands from the
+    start: any later read, save or size of it raises, even if the advance
+    stops part way.  A horizon it cannot reach raises before anything is
+    freed.
     """
-    _check_advance(layer, horizon)
     depth = layer.depth + 1
-    parent = layer.bands
+    if (horizon is not None and horizon < depth) or (
+            layer.horizon is not None and (horizon is None or horizon > layer.horizon)):
+        raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
+                         f"cannot advance to horizon {horizon}")
+    parent, layer.bands = layer.bands, None
     npar, nl = len(layer.parities), _nlimbs(depth)
     bands = {}
-    unread = sorted(parent) if consume else []  # parent heights to free, increasing
+    unread = sorted(parent)  # parent heights to free, increasing
     i = 0
     for y, lo, cap, hi in _band_geometry(depth, horizon):
         while i < len(unread) and unread[i] < y - 1:  # read by no child band from y on
@@ -338,8 +334,6 @@ def advance(layer: Layer, horizon: int | None = None, *, consume: bool = False) 
         _add_band_range(out, parent, y + 1, lo + y + 1)
         _add_band_range(out, parent, y - 1, lo + y - 1)
         bands[y] = Band(lo, cap, _carry_normalize(out))
-    if consume:
-        layer.bands = None
     return Layer(depth, layer.parities, bands, horizon)
 
 
@@ -381,25 +375,22 @@ def extend_counts(
     so one pass yields every row.  With ``complete`` they are complete
     layers, which a checkpoint extended past max_n later needs.
 
-    Each advance consumes its parent (``advance`` with ``consume``), so a
-    row's layer stays valid until the next row is asked for; this includes
-    the start layer.  Before each advance its peak, the parent bands still
-    read plus the child bands built so far, is checked against
-    ``memory_limit`` bytes; past it, MemoryBudgetExceeded carries the parent,
-    intact.
+    Each advance consumes its parent, so a row's layer stays valid until the
+    next row is asked for; this includes the start layer.  Before each
+    advance its peak, the parent bands still read plus the child bands built
+    so far, is checked against ``memory_limit`` bytes; past it,
+    MemoryBudgetExceeded carries the parent, intact.
     """
     if max_n < layer.depth + 1:
         raise ValueError(f"max_n must be at least the start layer's n = {layer.depth + 1}")
     horizon = None if complete else max_n - 1
-    if max_n > layer.depth + 1:  # a target the layer cannot reach yields no row
-        _check_advance(layer, horizon)
     yield layer.depth + 1, layer.value(0, 0), layer
     for depth in range(layer.depth + 1, max_n):
         if memory_limit is not None:
             needed = _advance_peak_bytes(layer, horizon)
             if needed > memory_limit:
                 raise MemoryBudgetExceeded(depth, layer, needed, memory_limit)
-        layer = advance(layer, horizon, consume=True)
+        layer = advance(layer, horizon)
         yield depth + 1, layer.value(0, 0), layer
 
 
