@@ -21,7 +21,10 @@ Layers are stored per height as dense bands over the feasible area range.
 Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
 A count at depth d >= 1 is below the total walk weight 4**d, so a cell holds
-ceil(2d / 60) limbs (one at depth 0).
+ceil(2d / 60) limbs (one at depth 0).  Between advances a limb may hold up to
+2**60 + 3, since an advance makes one carry pass per band (`_carry_once`),
+not a full normalization.  Limbs are canonical, each below 2**60, in a
+checkpoint, and a read adds them into an exact int.
 The starting parity enters only through the depth-0 layer, so a layer holds
 one limb vector per cell and parity, and one advance moves every parity it
 holds.  Above the stabilization cap the counts are periodic in the area with
@@ -128,9 +131,10 @@ def _nlimbs(depth: int) -> int:
 
 
 def _limbs_to_int(limbs: np.ndarray) -> int:
+    # added, not OR-ed: a limb may exceed 60 bits between advances
     value = 0
     for i in range(len(limbs) - 1, -1, -1):
-        value = (value << LIMB_BITS) | int(limbs[i])
+        value = (value << LIMB_BITS) + int(limbs[i])
     return value
 
 
@@ -138,7 +142,9 @@ class Band:
     """Counts for one height: a dense area band [lo, hi] of limb vectors per parity.
 
     hi is cap + 1 in a complete layer; a cone layer may cut it lower and
-    lo higher (`_band_geometry`).
+    lo higher (`_band_geometry`).  A limb may hold up to 2**60 + 3 (one carry
+    pass, `_carry_once`), so two bands are equal when their carried copies
+    are, not their raw limbs.
     """
 
     __slots__ = ("lo", "cap", "limbs")
@@ -154,7 +160,8 @@ class Band:
             and self.lo == other.lo
             and self.cap == other.cap
             and self.limbs.shape == other.limbs.shape
-            and bool(np.array_equal(self.limbs, other.limbs))
+            and bool(np.array_equal(_carry_normalize(self.limbs.copy()),
+                                    _carry_normalize(other.limbs.copy())))
         )
 
 
@@ -298,6 +305,26 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
         words[1:] += carry[:-1]
 
 
+def _carry_once(arr: np.ndarray) -> np.ndarray:
+    """One carry pass over a C-contiguous (..., limbs) array, in place.
+
+    Limbs of at most 4 * (2**LIMB_BITS + 3), an advance's sum of four parent
+    limbs, come out at most 2**LIMB_BITS + 3: the low 60 bits plus a carry of
+    at most 4.  A top limb stays below 2**LIMB_BITS, since a count at depth d
+    is below 4**d <= 2**(LIMB_BITS * limbs), so no carry crosses into the
+    next limb vector; one that would raises OverflowError before any limb
+    changes.
+    """
+    assert arr.flags.c_contiguous, "a non-contiguous view would be carried in a copy"
+    words = arr.reshape(-1)
+    carry = words >> LIMB_BITS
+    if np.count_nonzero(carry[arr.shape[-1] - 1 :: arr.shape[-1]]):
+        raise OverflowError("carry out of the top limb")
+    words &= LIMB_MASK
+    words[1:] += carry[:-1]
+    return arr
+
+
 def advance(layer: Layer, horizon: int | None = None) -> Layer:
     """Produce the layer one depth further, consuming the parent.
 
@@ -333,7 +360,7 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
         out <<= 1
         _add_band_range(out, parent, y + 1, lo + y + 1)
         _add_band_range(out, parent, y - 1, lo + y - 1)
-        bands[y] = Band(lo, cap, _carry_normalize(out))
+        bands[y] = Band(lo, cap, _carry_once(out))
     return Layer(depth, layer.parities, bands, horizon)
 
 
@@ -464,7 +491,12 @@ class Checkpoint:
         return self.layer.depth
 
     def save(self, path) -> None:
-        """Write atomically (`atomic_open`)."""
+        """Write atomically (`atomic_open`), with canonical limbs.
+
+        Each band is carried in place before it is written, which leaves the
+        layer's counts as they were and its bytes those of a full
+        normalization.
+        """
         layer = self.layer
         with atomic_open(path) as fh:
             crc = _crc_write(fh, CHECKPOINT_MAGIC, 0)
@@ -476,6 +508,7 @@ class Checkpoint:
             for y in layer.heights():
                 band = layer.bands[y]
                 crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
+                _carry_normalize(band.limbs)
                 crc = _crc_write(fh, np.ascontiguousarray(band.limbs, dtype="<i8"), crc)
             fh.write(_CKPT_CRC.pack(crc))
 
@@ -523,4 +556,8 @@ class Checkpoint:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
+        # one carry pass per advance needs canonical limbs to start from
+        for y, band in bands.items():
+            if band.limbs.view(np.uint64).max() > LIMB_MASK:  # a negative limb too
+                raise CheckpointFormatError(f"band {y} holds a limb that is not canonical")
         return cls(Layer(depth, parities, bands, horizon))

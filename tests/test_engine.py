@@ -347,6 +347,94 @@ def test_carry_refuses_a_non_contiguous_view():
     assert (arr[:, 0] == LIMB_MASK + 1).all()
 
 
+# the most a limb holds between advances, and an advance's sum of four of them
+LIMB_BOUND = (1 << LIMB_BITS) + 3
+ADVANCE_SUM = 4 * LIMB_BOUND
+
+
+def vector_values(arr):
+    return [sum(int(limb) << (LIMB_BITS * i) for i, limb in enumerate(vector))
+            for vector in arr.reshape(-1, arr.shape[-1])]
+
+
+def test_carry_once_leaves_limbs_within_the_bound():
+    rng = np.random.default_rng(7)
+    # cells x parities x limbs, an advance's sums below the top limb
+    arr = rng.integers(0, ADVANCE_SUM, size=(60, 2, 4), endpoint=True)
+    arr[..., -1] = rng.integers(0, 1 << (LIMB_BITS - 1), size=arr.shape[:-1])
+    arr[0, 0, :-1] = ADVANCE_SUM
+    # low bits all ones under a carry of 4, then of 3
+    arr[1, 1] = [ADVANCE_SUM, (1 << 62) - 1, (1 << 62) - 1, 4]
+    want = vector_values(arr)
+    assert engine._carry_once(arr) is arr
+    assert arr[1, 1].tolist() == [12, LIMB_BOUND, LIMB_BOUND - 1, 7]
+    assert 0 <= arr.min() and arr.max() <= LIMB_BOUND
+    assert vector_values(arr) == want
+    assert [engine._limbs_to_int(vector) for vector in arr.reshape(-1, 4)] == want
+
+
+def test_carry_once_refuses_a_carry_out_of_the_top_limb():
+    arr = np.array([[LIMB_MASK, 1 << LIMB_BITS], [3, 0]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        engine._carry_once(arr)
+    assert arr.tolist() == [[LIMB_MASK, 1 << LIMB_BITS], [3, 0]]  # raised before any change
+    # cells x parities x limbs: the even parity's top limb precedes the odd
+    # parity's bottom limb in the word view
+    arr = np.array([[[ADVANCE_SUM, 0, 1 << LIMB_BITS], [7, 0, 0]]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        engine._carry_once(arr)
+    assert arr[0, 1].tolist() == [7, 0, 0]
+
+
+def test_carry_once_refuses_a_non_contiguous_view():
+    arr = np.zeros((4, 6), dtype=np.int64)
+    arr[:, 0] = ADVANCE_SUM
+    with pytest.raises(AssertionError):
+        engine._carry_once(arr[:, ::2])
+    assert (arr[:, 0] == ADVANCE_SUM).all()
+
+
+def non_canonical_twins(depth=40):
+    """A two-parity layer holding a limb of 2**60 + 3, and its carried twin.
+
+    The cell (0, cap) of the even parity is set by hand to the count
+    3 + 6 * 2**60: limbs (3, 6) in the twin, (2**60 + 3, 5) in the layer.  An
+    advance leaves such limbs only when a limb's low 60 bits are within 4 of
+    2**60, too rarely to wait for.
+    """
+    twin = layer_at(depth, *Parity)
+    layer = engine.Layer(depth, twin.parities, {
+        y: engine.Band(band.lo, band.cap, band.limbs.copy())
+        for y, band in twin.bands.items()})
+    band = twin.bands[0]
+    assert engine._nlimbs(depth) == 2
+    band.limbs[band.cap - band.lo, 0] = [3, 6]
+    layer.bands[0].limbs[band.cap - band.lo, 0] = [LIMB_BOUND, 5]
+    return layer, twin
+
+
+def test_a_non_canonical_limb_reads_and_compares_as_its_carried_twin():
+    layer, twin = non_canonical_twins()
+    cap = twin.bands[0].cap
+    for a in (cap, cap + 2, cap + 40):  # the cap cell and reads above it
+        assert layer.value(0, a) == twin.value(0, a)
+        assert layer.value(0, a)[0] == 3 + (6 << LIMB_BITS)
+    assert not np.array_equal(layer.bands[0].limbs, twin.bands[0].limbs)
+    assert layer.bands[0] == twin.bands[0] and layer == twin
+    assert layer.bands[0].limbs[cap - layer.bands[0].lo, 0, 0] == LIMB_BOUND  # compared a copy
+    assert advance(layer) == advance(twin)
+
+
+def test_a_non_canonical_limb_saves_as_its_carried_twin(tmp_path):
+    layer, twin = non_canonical_twins()
+    for name, saved in (("layer", layer), ("twin", twin)):
+        Checkpoint(saved).save(tmp_path / f"{name}.ckpt")
+    assert (tmp_path / "layer.ckpt").read_bytes() == (tmp_path / "twin.ckpt").read_bytes()
+    assert Checkpoint.load(tmp_path / "layer.ckpt").layer == twin
+    # the save carried the layer in place, its counts unchanged
+    assert np.array_equal(layer.bands[0].limbs, twin.bands[0].limbs)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -520,6 +608,17 @@ def test_checkpoint_band_larger_than_the_file_is_refused_unallocated(tmp_path):
     assert path.stat().st_size == 69
     with pytest.raises(CheckpointFormatError, match="truncated"):
         Checkpoint.load(path)
+
+
+def test_checkpoint_refuses_a_limb_that_is_not_canonical(tmp_path):
+    path, good = saved_bytes(tmp_path)
+    # the first band's first limb follows the magic, the header and (y, lo, cap)
+    offset = len(engine.CHECKPOINT_MAGIC) + engine._CKPT_HEADER.size + engine._CKPT_BAND.size
+    for limb in (1 << LIMB_BITS, -1):
+        path.write_bytes(resealed(
+            good[:offset] + limb.to_bytes(8, "little", signed=True) + good[offset + 8 : -4]))
+        with pytest.raises(CheckpointFormatError, match="not canonical"):
+            Checkpoint.load(path)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
