@@ -4,6 +4,11 @@ Subcommands: count, count-ondemand, oracle, walk, rho, constants, verify.
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, an
 unreadable checkpoint or an unusable --run-dir or --checkpoint-dir, 3 memory
 budget reached (``count`` saves a checkpoint of the last layer reached first).
+An argument that does not parse gets argparse's usage and error lines; every
+other refusal is one stderr line ``graphseq <command>: <message>``, with
+nothing on stdout and no manifest entry: a command raises `Refused` and
+`run` prints it.  ``count``'s budget exit is no refusal: it prints the rows
+it reached and the checkpoint it saved, and records the run.
 """
 
 from __future__ import annotations
@@ -29,6 +34,15 @@ EXIT_BAD_ARGS = 2
 EXIT_MEMORY_CHECKPOINT = 3
 
 DEFAULT_EXTRAPOLATION_GRIDS = (1024, 2048, 4096)
+RHO_LABELS = {"lazy": "rho", "simple": "rho_hat"}  # the constant each walk kind gives
+
+
+class Refused(Exception):
+    """A run the CLI declines; `run` prints the message and exits with `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_BAD_ARGS):
+        super().__init__(message)
+        self.code = code
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +88,6 @@ def parse_csv_counts(text: str) -> list:
     return rows
 
 
-class UnusableDirectory(Exception):
-    """A --run-dir or --checkpoint-dir that cannot be created or read."""
-
-
 class RunStore:
     """Plain-file results store: appended output files plus a manifest."""
 
@@ -95,7 +105,7 @@ class RunStore:
             else:
                 self.manifest = {"runs": []}
         except (OSError, ValueError) as exc:
-            raise UnusableDirectory(f"cannot use --run-dir {root}: {exc}") from exc
+            raise Refused(f"cannot use --run-dir {root}: {exc}") from exc
 
     def record(self, command: str, config: dict, outputs: list, **fields) -> None:
         """Add a run: elapsed time since the store was opened, peak RSS, versions.
@@ -126,12 +136,13 @@ class RunStore:
         with engine.atomic_open(self.manifest_path) as fh:
             fh.write((json.dumps(self.manifest, indent=2) + "\n").encode())
 
-    def append(self, name: str, lines) -> str:
+    def save(self, name: str, lines, command: str, config: dict, outputs=(), **fields) -> None:
+        """Append `lines` to the file `name` and record the run, with that file after `outputs`."""
         path = self.root / name
         with open(path, "a") as fh:
             for line in lines:
                 fh.write(line + "\n")
-        return str(path)
+        self.record(command, config, [*map(str, outputs), str(path)], **fields)
 
 
 def _chain_record(solved, printed) -> dict:
@@ -145,8 +156,7 @@ def _emit(lines, store: RunStore | None, name: str, command: str, config: dict, 
     for line in lines:
         print(line)
     if store is not None:
-        path = store.append(name, lines)
-        store.record(command, config, [path], **fields)
+        store.save(name, lines, command, config, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,7 @@ def _checkpoint_dir(args) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UnusableDirectory(f"cannot use --checkpoint-dir {raw}: {exc}") from exc
+        raise Refused(f"cannot use --checkpoint-dir {raw}: {exc}") from exc
     return path
 
 
@@ -174,23 +184,13 @@ def _save_checkpoint(layer, directory: Path) -> Path:
     return path
 
 
-def _counts(max_n: int, *parities, memory_limit: int | None = None, complete: bool = False):
-    """(n, counts, layer) rows for n = 1..max_n from the depth-0 layer of `parities`.
-
-    A row's layer stays valid until the next row is asked for; the advance
-    to the next row frees it.
-    """
-    return engine.extend_counts(engine.initial_layer(*parities), max_n, memory_limit, complete)
-
-
 def _count_columns(max_n: int) -> tuple:
     """The G and H columns for n = 1..max_n, from one pass over both parities."""
-    rows = [counts for _, counts, _ in _counts(max_n, engine.Parity.EVEN, engine.Parity.ODD)]
-    return tuple(zip(*rows))
+    stream = engine.extend_counts(engine.initial_layer(*engine.Parity), max_n)
+    return tuple(zip(*(counts for _, counts, _ in stream)))
 
 
-def cmd_count(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_count(args, store: RunStore | None) -> int:
     # resolved before any layer is advanced, so an unusable one costs no work
     can_save = args.checkpoint_every is not None or args.memory_limit is not None
     ckpt_dir = _checkpoint_dir(args) if can_save else None
@@ -198,7 +198,8 @@ def cmd_count(args) -> int:
     # a periodic checkpoint is there to be extended past --max-n, so it needs
     # complete layers; every other run advances over the cone of --max-n
     complete = args.checkpoint_every is not None
-    stream = _counts(args.max_n, *parities, memory_limit=args.memory_limit, complete=complete)
+    stream = engine.extend_counts(engine.initial_layer(*parities), args.max_n,
+                                  args.memory_limit, complete)
     # the advanced layers' cells (per parity) and largest size, measured only
     # for the manifest
     cost = {"cells_advanced": 0, "peak_layer_mib": 0.0} if store is not None else None
@@ -216,51 +217,41 @@ def cmd_count(args) -> int:
                 mib = layer.nbytes / 2**20
                 cost["peak_layer_mib"] = max(cost["peak_layer_mib"], round(mib, 3))
 
-    lines_out = []
+    lines_out, saved = [], []  # saved: the checkpoint of a run the budget stops
     try:
         for line in count_lines(parities, rows()):
             lines_out.append(line)
             print(line, flush=True)
     except engine.MemoryBudgetExceeded as exc:
-        path = _save_checkpoint(exc.layer, ckpt_dir)
+        saved.append(_save_checkpoint(exc.layer, ckpt_dir))
         print(
             f"memory budget reached at depth {exc.depth}: "
-            f"checkpointed depth {exc.layer.depth} to {path}",
+            f"checkpointed depth {exc.layer.depth} to {saved[0]}",
             file=sys.stderr,
         )
-        if store is not None:
-            store.append("results." + args.format, lines_out)
-            store.record("count", _config(args) | {"interrupted": True}, [str(path)], **cost)
-        return EXIT_MEMORY_CHECKPOINT
     if store is not None:
-        path = store.append("results." + args.format, lines_out)
-        store.record("count", _config(args), [path], **cost)
-    return EXIT_OK
+        config = _config(args) | ({"interrupted": True} if saved else {})
+        store.save("results." + args.format, lines_out, "count", config, saved, **cost)
+    return EXIT_MEMORY_CHECKPOINT if saved else EXIT_OK
 
 
-def _fail(command: str, message: str, code: int) -> int:
-    print(f"graphseq {command}: {message}", file=sys.stderr)
-    return code
-
-
-def cmd_count_ondemand(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_count_ondemand(args, store: RunStore | None) -> int:
     try:
         ckpt = engine.Checkpoint.load(args.checkpoint)
     except (OSError, engine.CheckpointFormatError) as exc:
-        return _fail("count-ondemand", f"cannot read {args.checkpoint}: {exc}", EXIT_BAD_ARGS)
+        raise Refused(f"cannot read {args.checkpoint}: {exc}") from exc
     if args.target_n <= ckpt.depth + 1:
-        return _fail("count-ondemand", f"--target-n {args.target_n} must exceed the "
-                     f"checkpoint's n = {ckpt.depth + 1}", EXIT_BAD_ARGS)
+        raise Refused(f"--target-n {args.target_n} must exceed the checkpoint's "
+                      f"n = {ckpt.depth + 1}")
     horizon = ckpt.layer.horizon
     if horizon is not None and args.target_n > horizon + 1:
-        return _fail("count-ondemand", f"--target-n {args.target_n} lies beyond the "
-                     f"checkpoint's cone, which serves n <= {horizon + 1}", EXIT_BAD_ARGS)
+        raise Refused(f"--target-n {args.target_n} lies beyond the checkpoint's cone, "
+                      f"which serves n <= {horizon + 1}")
     try:
         rows = [(n, counts) for n, counts, _ in
                 engine.extend_counts(ckpt.layer, args.target_n, args.memory_limit)]
     except engine.MemoryBudgetExceeded as exc:
-        return _fail("count-ondemand", f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT)
+        raise Refused(f"memory budget reached: {exc}", EXIT_MEMORY_CHECKPOINT) from exc
     lines = list(count_lines(ckpt.layer.parities, rows))
     # the checkpoint's own row was printed by the count that saved it; in csv
     # it still gives the first new row its ratio
@@ -271,8 +262,7 @@ def cmd_count_ondemand(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_oracle(args, store: RunStore | None) -> int:
     lines = ["n,G,H,D"]
     failures = 0
     if args.cross_check:
@@ -311,8 +301,7 @@ def cmd_oracle(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def cmd_walk(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_walk(args, store: RunStore | None) -> int:
     shards = len(walklab.mc_shard_layout(args.samples, args.batch))
     estimate, stderr = walklab.persistence_mc(
         args.n, args.samples, end=args.end, seed=args.seed,
@@ -337,8 +326,19 @@ def cmd_walk(args) -> int:
     return EXIT_OK
 
 
-def cmd_rho(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def _extrapolated(kind: str, points):
+    """Richardson over (n, estimate) points, refused outside [0, 1).
+
+    There it is no probability, and for rho gives no constant c.
+    """
+    value = constants.richardson(points)
+    if not 0 <= value < 1:
+        raise Refused(f"{RHO_LABELS[kind]} extrapolates to {float(value):.4f}, "
+                      "outside [0, 1); use larger grids")
+    return value
+
+
+def cmd_rho(args, store: RunStore | None) -> int:
     grids = args.grid or [2]
     extrapolate = args.extrapolate or []
     order = max(grids + extrapolate)  # the chain on grid n reads p[1..n-1]
@@ -364,37 +364,28 @@ def cmd_rho(args) -> int:
             lines.append(f"{n},{order},{est.lower:.12f},{est.upper:.12f},{est.estimate:.12f},")
     if extrapolate:
         pts = [(n, solved[n].estimate) for n in extrapolate]
-        extrapolated = float(constants.richardson(pts))  # a Fraction when every grid is exact
-        if not 0 <= extrapolated < 1:  # no probability, as in `constants`
-            label = "rho" if args.kind == "lazy" else "rho_hat"
-            return _fail("rho", f"{label} extrapolates to {extrapolated:.4f}, "
-                         "outside [0, 1); use larger grids", EXIT_BAD_ARGS)
+        extrapolated = float(_extrapolated(args.kind, pts))  # a Fraction when every grid is exact
         human.append(f"richardson over {extrapolate}: {extrapolated:.12f} (non-rigorous)")
         lines.append(f"{extrapolate[-1]},{order},,,,{extrapolated:.12f}")
     for line in human:
         print(line)
     if store is not None:
-        path = store.append("rho.csv", lines)
         config = {"grids": list(grids), "K": order, "kind": args.kind,
                   "extrapolate": list(extrapolate), "exact": args.exact}
         printed = [solved[n] for n in grids]
-        store.record("rho", config, [path], **_chain_record(solved.values(), printed))
+        store.save("rho.csv", lines, "rho", config, **_chain_record(solved.values(), printed))
     return EXIT_OK
 
 
-def cmd_constants(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_constants(args, store: RunStore | None) -> int:
     grids = args.grids
     order = max(grids)
     t0 = time.monotonic()
     lines, results, solved = [], {}, []
-    for kind, label in (("lazy", "rho"), ("simple", "rho_hat")):
+    for kind, label in RHO_LABELS.items():
         pmf = constants.area_pmf(order, kind)
         estimates = [constants.rho_bounds(n, pmf) for n in grids]
-        extrapolated = constants.richardson([(e.n, e.estimate) for e in estimates])
-        if not 0 <= extrapolated < 1:  # no probability, and for rho no constant c
-            return _fail("constants", f"{label} extrapolates to {extrapolated:.4f}, "
-                         "outside [0, 1); use larger grids", EXIT_BAD_ARGS)
+        extrapolated = _extrapolated(kind, [(e.n, e.estimate) for e in estimates])
         bracket = estimates[-1]
         solved += estimates
         results[label] = extrapolated
@@ -414,8 +405,7 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    store = RunStore(args.run_dir) if args.run_dir else None
+def cmd_verify(args, store: RunStore | None) -> int:
     lines, failed = [], []
 
     def report(line):
@@ -572,7 +562,8 @@ def cmd_verify(args) -> int:
            Fraction(3), "linear model")
 
     def roundtrip_formats():
-        rows = [(n, counts) for n, counts, _ in _counts(6, *engine.Parity)]
+        rows = [(n, counts) for n, counts, _ in
+                engine.extend_counts(engine.initial_layer(*engine.Parity), 6)]
         even = [(n, counts[:1]) for n, counts in rows]
         eq(parse_bfile("\n".join(count_lines((engine.Parity.EVEN,), even))),
            [(n, g) for n, (g,) in even], "bfile roundtrip")
@@ -597,8 +588,7 @@ def cmd_verify(args) -> int:
 
     report(f"{len(lines) - len(failed)}/{len(lines)} checks passed")
     if store is not None:
-        path = store.append("verify.txt", lines)
-        store.record("verify", {"max_n": max_n}, [path])
+        store.save("verify.txt", lines, "verify", {"max_n": max_n})
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -660,8 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force tables and cross-checks")
     p.add_argument("--max-n", type=_int_in(1, oracle.BRUTE_LIMIT), default=10)
-    p.add_argument("--cross-check", action="store_true", default=True)
-    p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
+    p.add_argument("--cross-check", action="store_true", default=True,
+                   help="check each row against the engine's counts; on by default")
+    p.add_argument("--no-cross-check", dest="cross_check", action="store_false",
+                   help="skip the cross-check, which is on by default")
     p.add_argument("--ballot", type=_int_in(0, oracle.BALLOT_LIMIT), default=0, metavar="N",
                    help="also report ballot counts up to this n")
     p.add_argument("--ballot-vectors", type=_int_in(1), default=20)
@@ -702,12 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UnusableDirectory as exc:
-        return _fail(args.command, str(exc), EXIT_BAD_ARGS)
+        store = RunStore(args.run_dir) if args.run_dir else None
+        return args.func(args, store)
+    except Refused as exc:
+        print(f"graphseq {args.command}: {exc}", file=sys.stderr)
+        return exc.code
 
 
 def main() -> None:

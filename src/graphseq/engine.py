@@ -285,24 +285,18 @@ def _add_band_range(out: np.ndarray, bands: dict, y: int, start: int) -> None:
 
 
 def _carry_normalize(arr: np.ndarray) -> np.ndarray:
-    """Bring every limb of a C-contiguous (..., limbs) array below 2**LIMB_BITS.
+    """Bring every limb of a C-contiguous (..., limbs) array below 2**LIMB_BITS, in place.
 
-    Each pass runs on the row-major word view, where one limb vector's top
-    limb (a cell's, or a cell's parity's) is followed by the next vector's
-    bottom one; no carry crosses that seam, since a carry out of a top limb
-    raises OverflowError first.
+    It repeats `_carry_once` until no limb carries.  Each pass runs on the
+    row-major word view, where one limb vector's top limb (a cell's, or a
+    cell's parity's) is followed by the next vector's bottom one; no carry
+    crosses that seam, since a carry out of a top limb raises OverflowError
+    first.
     """
     assert arr.flags.c_contiguous, "a non-contiguous view would be normalized in a copy"
-    words = arr.reshape(-1)
-    top = arr.shape[-1] - 1
-    while True:
-        carry = words >> LIMB_BITS
-        if not carry.any():
-            return arr
-        if carry[top :: top + 1].any():
-            raise OverflowError("carry out of the top limb")
-        words &= LIMB_MASK
-        words[1:] += carry[:-1]
+    while (arr > LIMB_MASK).any():
+        _carry_once(arr)
+    return arr
 
 
 def _carry_once(arr: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine
 
-EXACT_LIMIT = 300         # persistence_exact(300) takes about 10 s on 2 vCPUs
+EXACT_LIMIT = 300         # persistence_exact(300) takes about 4 s (3.8-4.1 s) on 2 vCPUs
 RATIONAL_JOINT_LIMIT = 32  # joint law switches to float64 above this length
 
 

@@ -33,6 +33,35 @@ def count_rows(max_n, parity=engine.Parity.EVEN, **kwargs):
     return [(n, v) for n, (v,), _ in engine.extend_counts(start, max_n, **kwargs)]
 
 
+# every option of the top-level parser and of each subcommand, with its
+# default; --workers is left out, since it defaults to the CPU count
+CLI_OPTIONS = {
+    "graphseq": {"--run-dir": None},
+    "count": {"--max-n": None, "--format": "bfile", "--memory-limit": None,
+              "--checkpoint-every": None, "--checkpoint-dir": None},
+    "count-ondemand": {"--checkpoint": None, "--target-n": None, "--memory-limit": None},
+    "oracle": {"--max-n": 10, "--cross-check": True, "--no-cross-check": True,
+               "--ballot": 0, "--ballot-vectors": 20, "--seed": 0},
+    "walk": {"--n": None, "--samples": 1_000_000, "--end": "zero", "--seed": 0,
+             "--batch": 200_000, "--exact": False},
+    "rho": {"--grid": None, "--kind": "lazy", "--exact": False, "--extrapolate": None},
+    "constants": {"--grids": "1024,2048,4096"},
+    "verify": {"--max-n": 10},
+}
+
+
+def test_cli_options_and_defaults_are_pinned():
+    def options(parser):
+        return {", ".join(a.option_strings): a.default for a in parser._actions
+                if a.option_strings and a.dest not in ("help", "workers")}
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    found = {"graphseq": options(parser)}
+    found |= {name: options(p) for name, p in sub.choices.items()}
+    assert found == CLI_OPTIONS
+
+
 def test_bad_arguments_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         run(["count"])  # --max-n missing
@@ -245,6 +274,10 @@ def test_memory_limit_interrupted_run_recorded(tmp_path, capsys):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["runs"][0]["config"]["interrupted"] is True
     assert manifest["runs"][0]["outputs"][0].endswith(".ckpt")
+    # the rows printed before the budget stop are its results file
+    _, results = manifest["runs"][0]["outputs"]
+    assert results == str(run_dir / "results.bfile")
+    assert (run_dir / "results.bfile").read_text() == capsys.readouterr().out
 
 
 def test_checkpoint_dir_env_fallback(tmp_path, monkeypatch, capsys):
