@@ -4,6 +4,9 @@ Subcommands: count, count-ondemand, oracle, walk, rho, constants, verify.
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, an
 unreadable checkpoint or an unusable --run-dir or --checkpoint-dir, 3 memory
 budget reached (``count`` saves a checkpoint of the last layer reached first).
+A checkpoint, results file or manifest that cannot be written ends the run
+with one ``graphseq <command>: cannot write ...`` line and exit 2, after any
+rows already printed.
 An argument that does not parse gets argparse's usage and error lines; every
 other refusal is one stderr line ``graphseq <command>: <message>``, with
 nothing on stdout and no manifest entry: a command raises `Refused` and
@@ -139,10 +142,13 @@ class RunStore:
     def save(self, name: str, lines, command: str, config: dict, outputs=(), **fields) -> None:
         """Append `lines` to the file `name` and record the run, with that file after `outputs`."""
         path = self.root / name
-        with open(path, "a") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        self.record(command, config, [*map(str, outputs), str(path)], **fields)
+        try:
+            with open(path, "a") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+            self.record(command, config, [*map(str, outputs), str(path)], **fields)
+        except OSError as exc:  # the message names the file: results or manifest
+            raise Refused(f"cannot write to --run-dir {self.root}: {exc}") from exc
 
 
 def _chain_record(solved, printed) -> dict:
@@ -180,7 +186,10 @@ def _checkpoint_dir(args) -> Path:
 def _save_checkpoint(layer, directory: Path) -> Path:
     parities = "-".join(parity.name.lower() for parity in layer.parities)
     path = directory / f"graphseq-{parities}-depth{layer.depth:05d}.ckpt"
-    engine.Checkpoint(layer).save(path)
+    try:
+        engine.Checkpoint(layer).save(path)
+    except OSError as exc:
+        raise Refused(f"cannot write checkpoint {path}: {exc}") from exc
     return path
 
 
@@ -638,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-limit", type=_int_in(1), default=None,
                    help="byte ceiling; on breach checkpoint and exit 3")
     p.add_argument("--checkpoint-every", type=_int_in(1), default=None, metavar="DEPTH")
-    p.add_argument("--checkpoint-dir", default=None)
+    p.add_argument("--checkpoint-dir", default=None,
+                   help="where checkpoints go; default $GRAPHSEQ_CHECKPOINT_DIR, "
+                        "else the current directory")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("count-ondemand", help="extend counts from a checkpoint")
@@ -663,9 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="bridge persistence estimates")
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--samples", type=_int_in(1), default=1_000_000)
-    p.add_argument("--end", choices=("zero", "either"), default="zero")
+    p.add_argument("--end", choices=tuple(walklab.End.STATES), default=walklab.End.ZERO)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=_int_in(1), default=200_000,
+    p.add_argument("--batch", type=_int_in(1), default=walklab.MC_BATCH,
                    help="samples per shard; fixes the shard layout, and with it "
                         "the estimate, whatever --workers is")
     p.add_argument("--exact", action="store_true",

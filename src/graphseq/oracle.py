@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 #: ballot_count enumerates n! * 2**n arrangements, so n stays this small.
@@ -98,17 +98,7 @@ def enumerate_sequences(n: int) -> Iterator[tuple]:
     """Every sequence n-1 >= d_1 >= ... >= d_n >= 0, exactly once."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = [0] * n
-
-    def rec(m: int, bound: int) -> Iterator[tuple]:
-        if m == n:
-            yield tuple(d)
-            return
-        for v in range(bound, -1, -1):
-            d[m] = v
-            yield from rec(m + 1, v)
-
-    yield from rec(0, n - 1)
+    yield from combinations_with_replacement(range(n - 1, -1, -1), n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate, combinations, product
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import engine
 
 EXACT_LIMIT = 300         # persistence_exact(300) takes about 4 s (3.8-4.1 s) on 2 vCPUs
-RATIONAL_JOINT_LIMIT = 32  # joint law switches to float64 above this length
+MC_BATCH = 200_000        # samples per Monte Carlo shard; fixes the shard layout
 
 
 class End:
@@ -28,14 +29,18 @@ class End:
 
     ZERO = "zero"
     ZERO_OR_MINUS_ONE = "either"
+    STATES = {ZERO: (0,), ZERO_OR_MINUS_ONE: (0, -1)}  # the end heights each allows
 
 
 def _end_states(end: str) -> tuple:
-    if end == End.ZERO:
-        return (0,)
-    if end == End.ZERO_OR_MINUS_ONE:
-        return (0, -1)
-    raise ValueError(f"unknown end condition {end!r}")
+    if end not in End.STATES:
+        raise ValueError(f"unknown end condition {end!r}")
+    return End.STATES[end]
+
+
+def _sub_steps(n: int, end: str) -> int:
+    """Simple-walk sub-steps coupled to n lazy steps: 2n, plus one per extra end state."""
+    return 2 * n + len(_end_states(end)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +78,7 @@ def end_weight(n: int, end: str) -> int:
     These are the simple-walk paths of length 2n or 2n+1 that the coupling
     maps onto the lazy paths; persistence_exact divides by this weight.
     """
-    if end == End.ZERO:
-        return math.comb(2 * n, n)
-    return math.comb(2 * n + 1, n)
+    return math.comb(_sub_steps(n, end), n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,7 @@ def _mc_shard(n: int, shard_samples: int, end: str, seed_seq) -> int:
     are the same in both types.
     """
     rng = np.random.default_rng(seed_seq)
-    total = 2 * n if end == End.ZERO else 2 * n + 1
+    total = _sub_steps(n, end)
     dtype = np.int32 if total * (total - 1) < 2**31 else np.int64
     r = np.full(shard_samples, n, dtype=dtype)
     integral = np.zeros(shard_samples, dtype=dtype)
@@ -134,7 +137,7 @@ def persistence_mc(
     end: str = End.ZERO,
     seed: int = 0,
     workers: int = 1,
-    batch: int = 200_000,
+    batch: int = MC_BATCH,
 ) -> tuple:
     """(estimate, standard error) for the same conditional probability.
 
@@ -177,8 +180,6 @@ def bridge_return_counts(n: int) -> list:
 
     Exhaustive over all C(2n, n) bridges; the oracle for returns_tail.
     """
-    from itertools import combinations
-
     counts = [0] * (n + 1)
     for up_positions in combinations(range(2 * n), n):
         ups = set(up_positions)
@@ -227,36 +228,29 @@ def _walk_grid(n: int, dtype=object) -> np.ndarray:
 class JointTable:
     """Joint law of (Y_n, A_n) for the unconditioned lazy walk.
 
-    Built from the `_walk_grid` weights: exact rationals when they are Python
-    ints, float64 otherwise; both are exactly symmetric under (a, b) -> (-a, -b).
+    grid[a + n, b + amax] = P(Y_n = a, A_n = b): the float64 `_walk_grid`
+    weights times 4.0**-n, exactly symmetric under (a, b) -> (-a, -b).  For
+    n <= 31 every weight is below 2**53, so the grid is the exact law;
+    `_walk_grid(n)` in Python ints is the exact reference.
     """
 
-    def __init__(self, n: int, weights: np.ndarray):
+    def __init__(self, n: int):
         self.n = n
         self.amax = n * (n + 1) // 2
-        self.exact = weights.dtype == object
-        self._weights = weights if self.exact else None  # float ones are _grid * 4**n
-        self._grid = np.asarray(weights, dtype=float) * 4.0**-n  # [y+n, b+amax]
+        self.grid = _walk_grid(n, float) * 4.0**-n
 
     def prob(self, a: int, b: int) -> float:
         if abs(a) > self.n or abs(b) > self.amax:
             return 0.0
-        return float(self._grid[a + self.n, b + self.amax])
-
-    def prob_exact(self, a: int, b: int) -> Fraction:
-        if not self.exact:
-            raise ValueError("table was built in float mode")
-        if abs(a) > self.n or abs(b) > self.amax:
-            return Fraction(0)
-        return Fraction(self._weights[a + self.n, b + self.amax], 4**self.n)
+        return float(self.grid[a + self.n, b + self.amax])
 
     def items(self) -> Iterator[tuple]:
-        ys, bs = np.nonzero(self._grid)
+        ys, bs = np.nonzero(self.grid)
         for yi, bi in zip(ys, bs):
-            yield (int(yi) - self.n, int(bi) - self.amax), float(self._grid[yi, bi])
+            yield (int(yi) - self.n, int(bi) - self.amax), float(self.grid[yi, bi])
 
     def total(self) -> float:
-        return float(self._grid.sum())
+        return float(self.grid.sum())
 
 
 def joint_dist(n: int) -> JointTable:
@@ -264,7 +258,7 @@ def joint_dist(n: int) -> JointTable:
         raise ValueError("n must be >= 1")
     if n > 220:
         raise ValueError("joint law limited to n <= 220")
-    return JointTable(n, _walk_grid(n, object if n <= RATIONAL_JOINT_LIMIT else float))
+    return JointTable(n)
 
 
 def llt_density(x, y):
@@ -286,7 +280,7 @@ def llt_error(n: int) -> float:
     a = np.arange(-n, n + 1, dtype=float).reshape(-1, 1)
     b = np.arange(-amax, amax + 1, dtype=float).reshape(1, -1)
     density = llt_density(a / math.sqrt(n), b / n**1.5)
-    return float(np.max(np.abs(n * n * table._grid - density)))
+    return float(np.max(np.abs(n * n * table.grid - density)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +303,6 @@ def flip_last_excursion(positions) -> tuple:
 
 
 def enumerate_lazy_paths(n: int) -> Iterator[tuple]:
-    """All 3**n lazy step patterns as position sequences."""
-    y = [0] * n
-
-    def rec(i: int, cur: int) -> Iterator[tuple]:
-        if i == n:
-            yield tuple(y)
-            return
-        for step in (-1, 0, 1):
-            y[i] = cur + step
-            yield from rec(i + 1, cur + step)
-
-    yield from rec(0, 0)
+    """All 3**n lazy step patterns as position sequences, steps ordered -1, 0, +1."""
+    for steps in product((-1, 0, 1), repeat=n):
+        yield tuple(accumulate(steps))

@@ -48,6 +48,12 @@ CLI_OPTIONS = {
     "constants": {"--grids": "1024,2048,4096"},
     "verify": {"--max-n": 10},
 }
+# the choices of every option that has them, in the order --help lists them
+CLI_CHOICES = {
+    ("count", "--format"): ("bfile", "csv"),
+    ("walk", "--end"): ("zero", "either"),
+    ("rho", "--kind"): ("lazy", "simple"),
+}
 
 
 def test_cli_options_and_defaults_are_pinned():
@@ -60,6 +66,9 @@ def test_cli_options_and_defaults_are_pinned():
     found = {"graphseq": options(parser)}
     found |= {name: options(p) for name, p in sub.choices.items()}
     assert found == CLI_OPTIONS
+    choices = {(name, ", ".join(a.option_strings)): tuple(a.choices)
+               for name, p in sub.choices.items() for a in p._actions if a.choices}
+    assert choices == CLI_CHOICES
 
 
 def test_bad_arguments_exit_code(capsys):
@@ -457,6 +466,34 @@ def test_checkpoint_dir_naming_a_file_exits_two_before_any_row(tmp_path, capsys)
     code, line = unusable_dir_failure(capsys, argv)
     assert code == EXIT_BAD_ARGS
     assert line.startswith(f"graphseq count: cannot use --checkpoint-dir {path}: ")
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["count", "--max-n", "12", "--checkpoint-every", "10", "--checkpoint-dir", "{d}"],
+     "graphseq-even-depth00010.ckpt"),
+    (["--run-dir", "{d}", "count", "--max-n", "12"], "results.bfile"),
+])
+def test_failed_write_exits_two_after_the_printed_rows(tmp_path, capsys, argv, blocked):
+    (tmp_path / blocked).mkdir()  # a directory where the file should go
+    code = run([a.format(d=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_ARGS
+    assert captured.out.splitlines()[0] == "1 1"
+    (line,) = captured.err.splitlines()
+    assert line.startswith("graphseq count: cannot write")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_manifest_write_exits_two(tmp_path, monkeypatch, capsys):
+    def fail(src, dst):
+        raise OSError("simulated failure to rename")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    code = run(["--run-dir", str(tmp_path), "count", "--max-n", "3"])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == EXIT_BAD_ARGS
+    assert line.startswith(f"graphseq count: cannot write to --run-dir {tmp_path}: ")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_walk_reproducible_output(capsys):

@@ -57,6 +57,13 @@ def test_persistence_end_weights_match_binomials():
         assert end_either == end_weight(n, End.ZERO_OR_MINUS_ONE) == math.comb(2 * n + 1, n)
 
 
+def test_unknown_end_is_refused():
+    with pytest.raises(ValueError):
+        end_weight(3, "bogus")
+    with pytest.raises(ValueError):
+        _mc_shard(3, 10, "bogus", np.random.SeedSequence(0))
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("end", [End.ZERO, End.ZERO_OR_MINUS_ONE])
 def test_persistence_exact_matches_brute_force(n, end):
@@ -197,12 +204,21 @@ def test_returns_tail_domain():
 
 
 def test_joint_one_step_exact():
-    table = joint_dist(1)
-    assert table.exact
-    assert table.prob_exact(0, 0) == Fraction(1, 2)
-    assert table.prob_exact(1, 1) == Fraction(1, 4)
-    assert table.prob_exact(-1, -1) == Fraction(1, 4)
-    assert table.prob_exact(1, 0) == 0
+    w = _walk_grid(1)  # w[y + 1, a + 1]
+
+    def prob(y, a):
+        return Fraction(w[y + 1, a + 1], 4)
+
+    assert prob(0, 0) == Fraction(1, 2)
+    assert prob(1, 1) == Fraction(1, 4)
+    assert prob(-1, -1) == Fraction(1, 4)
+    assert prob(1, 0) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 26])
+def test_joint_grid_is_the_exact_law(n):
+    # below 2**53 every weight, and so every probability, is a float exactly
+    assert np.array_equal(joint_dist(n).grid, _walk_grid(n) / 4**n)
 
 
 @pytest.mark.parametrize("n", [2, 9, 25, 40, 70])
@@ -211,14 +227,9 @@ def test_joint_normalization_and_symmetry(n):
     assert abs(table.total() - 1.0) <= 1e-12
     for (a, b), p in table.items():
         assert table.prob(-a, -b) == p  # exact mirror, bit for bit
-    if table.exact:
-        for (a, b), _ in table.items():
-            assert table.prob_exact(a, b) == table.prob_exact(-a, -b)
-
-
-def test_joint_rational_below_threshold_float_above():
-    assert joint_dist(32).exact
-    assert not joint_dist(33).exact
+    if n <= 32:  # the exact weights, cheap at these lengths
+        w = _walk_grid(n)
+        assert np.array_equal(w, w[::-1, ::-1])  # (y, a) -> (-y, -a)
 
 
 def test_llt_density_at_origin():
