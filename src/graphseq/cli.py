@@ -17,6 +17,7 @@ it reached and the checkpoint it saved, and records the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -140,14 +141,24 @@ class RunStore:
             fh.write((json.dumps(self.manifest, indent=2) + "\n").encode())
 
     def save(self, name: str, lines, command: str, config: dict, outputs=(), **fields) -> None:
-        """Append `lines` to the file `name` and record the run, with that file after `outputs`."""
+        """Append `lines` to the file `name` and record the run, with that file after `outputs`.
+
+        If the append or the record fails, the file is cut back to its old
+        size, or removed if the append made it: it keeps only recorded rows.
+        """
         path = self.root / name
+        size = path.stat().st_size if path.is_file() else None
         try:
             with open(path, "a") as fh:
                 for line in lines:
                     fh.write(line + "\n")
             self.record(command, config, [*map(str, outputs), str(path)], **fields)
         except OSError as exc:  # the message names the file: results or manifest
+            with contextlib.suppress(OSError):  # the refusal wins over a failed clean-up
+                if size is None:
+                    path.unlink()
+                else:
+                    os.truncate(path, size)
             raise Refused(f"cannot write to --run-dir {self.root}: {exc}") from exc
 
 
@@ -685,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="absorbing-chain bounds and extrapolation")
     p.add_argument("--grid", type=_int_in(2), action="append", metavar="N")
-    p.add_argument("--kind", choices=("lazy", "simple"), default="lazy")
+    p.add_argument("--kind", choices=tuple(constants.STEP_LAW), default="lazy")
     p.add_argument("--exact", action="store_true",
                    help="exact rational solve (small grids)")
     p.add_argument("--extrapolate", type=_grid_list, default=None, metavar="N1,N2,...")

@@ -91,12 +91,6 @@ class TruncatedSeries:
             out[i] += c
         return out
 
-    def eval_truncated(self, x: Fraction, y: Fraction) -> Fraction:
-        return sum(
-            (c * x**i * y**j for (i, j), c in self.coefficients.items()),
-            Fraction(0),
-        )
-
 
 def series_g(K: int, kind: str = "lazy") -> TruncatedSeries:
     """Excursion-area/length generating function truncated at x-degree K.

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-#: ballot_count enumerates n! * 2**n arrangements, so n stays this small.
+#: `oracle --ballot` draws its weights by rejection in random_sum_distinct_vector:
+#: 4.5 ms a vector at n = 8, 0.35 s at n = 9, none in 3 minutes at n = 10 (2 vCPUs).
 BALLOT_LIMIT = 8
 # brute_counts grows about 3.5x per n: 7.9 s at n = 14, 27 s at n = 15 (2 vCPUs)
 BRUTE_LIMIT = 16
@@ -285,33 +287,28 @@ def reference_count(depth: int, y: int, a: int, parity: int) -> int:
 def ballot_count(x: Sequence) -> int:
     """Number of (permutation, sign) pairs keeping all prefix sums >= 0.
 
-    Exhaustive over all n! * 2**n arrangements of the positive weights x; for
+    One memoized recursion over (unplaced weights, prefix sum): the ways to
+    place the rest depend on that state alone, so the positive weights x
+    need at most 3**n states where there are n! * 2**n arrangements.  For
     sum-distinct x the count is (2n-1)!!, and it can only be larger when
     subset-sum ties create extra prefix equalities.
     """
-    from itertools import permutations
-
     x = tuple(x)
     n = len(x)
     if n > BALLOT_LIMIT:
-        raise ValueError(f"exhaustive ballot count is limited to n <= {BALLOT_LIMIT}")
+        raise ValueError(f"ballot count is limited to n <= {BALLOT_LIMIT}")
     if any(v <= 0 for v in x):
         raise ValueError("weights must be strictly positive")
-    count = 0
-    for perm in permutations(range(n)):
-        # depth-first over sign choices with prefix pruning
-        stack = [(0, 0)]  # (index, prefix sum)
-        while stack:
-            i, acc = stack.pop()
-            if i == n:
-                count += 1
-                continue
-            v = x[perm[i]]
-            if acc + v >= 0:
-                stack.append((i + 1, acc + v))
-            if acc - v >= 0:
-                stack.append((i + 1, acc - v))
-    return count
+
+    @cache
+    def rest(unplaced: int, acc) -> int:  # bit i of unplaced: x[i] is still to place
+        if not unplaced:
+            return 1
+        return sum(rest(unplaced & ~(1 << i), s)
+                   for i in range(n) if unplaced >> i & 1
+                   for s in (acc + x[i], acc - x[i]) if s >= 0)
+
+    return rest((1 << n) - 1, 0)
 
 
 def double_factorial_odd(n: int) -> int:

@@ -225,40 +225,19 @@ def _walk_grid(n: int, dtype=object) -> np.ndarray:
     return w[1:-1]
 
 
-class JointTable:
-    """Joint law of (Y_n, A_n) for the unconditioned lazy walk.
+def joint_dist(n: int) -> np.ndarray:
+    """Joint law of (Y_n, A_n) for the unconditioned lazy walk, as float64.
 
-    grid[a + n, b + amax] = P(Y_n = a, A_n = b): the float64 `_walk_grid`
+    law[a + n, b + n(n+1)/2] = P(Y_n = a, A_n = b): the float64 `_walk_grid`
     weights times 4.0**-n, exactly symmetric under (a, b) -> (-a, -b).  For
-    n <= 31 every weight is below 2**53, so the grid is the exact law;
+    n <= 31 every weight is below 2**53, so the array is the exact law;
     `_walk_grid(n)` in Python ints is the exact reference.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.amax = n * (n + 1) // 2
-        self.grid = _walk_grid(n, float) * 4.0**-n
-
-    def prob(self, a: int, b: int) -> float:
-        if abs(a) > self.n or abs(b) > self.amax:
-            return 0.0
-        return float(self.grid[a + self.n, b + self.amax])
-
-    def items(self) -> Iterator[tuple]:
-        ys, bs = np.nonzero(self.grid)
-        for yi, bi in zip(ys, bs):
-            yield (int(yi) - self.n, int(bi) - self.amax), float(self.grid[yi, bi])
-
-    def total(self) -> float:
-        return float(self.grid.sum())
-
-
-def joint_dist(n: int) -> JointTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 220:
         raise ValueError("joint law limited to n <= 220")
-    return JointTable(n)
+    return _walk_grid(n, float) * 4.0**-n
 
 
 def llt_density(x, y):
@@ -275,12 +254,11 @@ def llt_error(n: int) -> float:
     The supremum is attained inside the reachable rectangle: outside it the
     density at n >= 2 is smaller than the in-rectangle error by many orders.
     """
-    table = joint_dist(n)
-    amax = table.amax
+    amax = n * (n + 1) // 2
     a = np.arange(-n, n + 1, dtype=float).reshape(-1, 1)
     b = np.arange(-amax, amax + 1, dtype=float).reshape(1, -1)
     density = llt_density(a / math.sqrt(n), b / n**1.5)
-    return float(np.max(np.abs(n * n * table.grid - density)))
+    return float(np.max(np.abs(n * n * joint_dist(n) - density)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """CLI surface: commands, exit codes, formats, the results store."""
 
+import hashlib
 import json
 import sys
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,15 +487,33 @@ def test_failed_write_exits_two_after_the_printed_rows(tmp_path, capsys, argv, b
 
 
 def test_failed_manifest_write_exits_two(tmp_path, monkeypatch, capsys):
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    assert run(["--run-dir", str(kept), "count", "--max-n", "2"]) == EXIT_OK
+    capsys.readouterr()
+
     def fail(src, dst):
         raise OSError("simulated failure to rename")
 
     monkeypatch.setattr(cli.os, "replace", fail)
-    code = run(["--run-dir", str(tmp_path), "count", "--max-n", "3"])
-    (line,) = capsys.readouterr().err.splitlines()
-    assert code == EXIT_BAD_ARGS
-    assert line.startswith(f"graphseq count: cannot write to --run-dir {tmp_path}: ")
-    assert not list(tmp_path.rglob("*.tmp"))
+    for root in (fresh, kept):
+        code = run(["--run-dir", str(root), "count", "--max-n", "3"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == EXIT_BAD_ARGS
+        assert line.startswith(f"graphseq count: cannot write to --run-dir {root}: ")
+        assert not list(root.rglob("*.tmp"))
+    # the results file keeps only the rows of recorded runs
+    assert not (fresh / "results.bfile").exists()
+    assert (kept / "results.bfile").read_text() == "1 1\n2 2\n"
+    assert len(json.loads((kept / "manifest.json").read_text())["runs"]) == 1
+
+
+def test_committed_bfile_is_the_engine_count():
+    data = (Path(__file__).resolve().parents[1] / "data" / "G_1-1000.bfile").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "c040e15cf594670014446a6b466838c1a994f5f37325945ee0cd045f46b80900")
+    rows = parse_bfile(data.decode())
+    assert [n for n, _ in rows] == list(range(1, 1001))
+    assert rows[:150] == count_rows(150)
 
 
 def test_walk_reproducible_output(capsys):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate, permutations, product
 
 import numpy as np
 import pytest
@@ -201,6 +202,26 @@ def test_ballot_tied_at_least_double_factorial():
     for n in (2, 3, 4, 5):
         tied = ballot_count(tuple([Fraction(1)] * n))
         assert tied >= double_factorial_odd(n)
+
+
+def _ballot_by_listing(x):
+    """Every (permutation, signs) pair, each checked on all its prefix sums."""
+    n = len(x)
+    return sum(all(s >= 0 for s in accumulate(x[i] * sign for i, sign in zip(perm, signs)))
+               for perm in permutations(range(n))
+               for signs in product((1, -1), repeat=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ballot_count_equals_the_listing_of_every_arrangement(n):
+    rng = np.random.default_rng(n)
+    vectors = [tuple([Fraction(1)] * n)]  # all equal
+    for _ in range(3):
+        vectors.append(random_sum_distinct_vector(n, rng))
+        base = random_sum_distinct_vector(max(2, n - 1), rng)
+        vectors.append((base + base)[:n])  # tied, as `oracle --ballot` builds them
+    for x in vectors:
+        assert ballot_count(x) == _ballot_by_listing(x)
 
 
 def test_ballot_rejects_nonpositive():
