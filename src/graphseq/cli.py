@@ -232,8 +232,7 @@ def cmd_count(args, store: RunStore | None) -> int:
             if args.checkpoint_every and layer.depth and layer.depth % args.checkpoint_every == 0:
                 _save_checkpoint(layer, ckpt_dir)
             if cost is not None and layer.depth:  # the depth-0 start is not advanced
-                cost["cells_advanced"] += len(parities) * sum(
-                    len(band.limbs) for band in layer.bands.values())
+                cost["cells_advanced"] += len(parities) * layer.cells
                 mib = layer.nbytes / 2**20
                 cost["peak_layer_mib"] = max(cost["peak_layer_mib"], round(mib, 3))
 
@@ -575,6 +574,11 @@ def cmd_verify(args, store: RunStore | None) -> int:
             eq(oracle.ballot_count(x), oracle.double_factorial_odd(n), f"ballot n={n}")
             tied = oracle.ballot_count(tuple([Fraction(1)] * n))
             assert tied >= oracle.double_factorial_odd(n), "tied ballot below floor"
+        # integer weights past n = 8, as many vectors as fit in 2 s for each n
+        for n, vectors in ((9, 3), (10, 3), (11, 3), (12, 1)):
+            for _ in range(vectors):
+                x = oracle.random_sum_distinct_vector(n, rng)
+                eq(oracle.ballot_count(x), oracle.double_factorial_odd(n), f"ballot n={n}")
 
     def extrapolation():
         eq(constants.richardson([(8, Fraction(3) + Fraction(5, 8)),

@@ -21,30 +21,34 @@ Layers are stored per height as dense bands over the feasible area range.
 Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
 A count at depth d >= 1 is below the total walk weight 4**d, so a cell holds
-ceil(2d / 60) limbs (one at depth 0).  Between advances a limb may hold up to
-2**60 + 3, since an advance makes one carry pass per band (`_carry_once`),
-not a full normalization.  Limbs are canonical, each below 2**60, in a
-checkpoint, and a read adds them into an exact int.
+ceil(2d / 60) limbs (one at depth 0).  An advance builds consecutive bands
+into one buffer of about CHUNK_BYTES, each band a contiguous view of it, and
+makes one carry pass per buffer (`_carry_once`), not a full normalization, so
+between advances a limb may hold up to 2**60 + 3.  Limbs are canonical, each
+below 2**60, in a checkpoint, and a read adds them into an exact int.
 The starting parity enters only through the depth-0 layer, so a layer holds
 one limb vector per cell and parity, and one advance moves every parity it
 holds.  Above the stabilization cap the counts are periodic in the area with
-period two, so a band keeps exactly two representative values at the cap.  A
-checkpoint stores the layer's limb blocks raw, every parity it holds, so
-saving and loading a layer is a copy, not a conversion.
+period two: a band stores its areas up to cap + 1, and a full band also the
+period-two continuation past it, as far as the next advance reads, so every
+read of a parent band is one slice of its rows.  A checkpoint stores the
+layer's limb blocks raw up to cap + 1, every parity it holds, so saving and
+loading a layer is a copy, not a conversion.
 
 One generator, ``extend_counts``, serves every caller that reads counts: it
 advances a start layer (depth 0 or a checkpoint) over the dependence cone of
 its last target, the only cells that target reads, or over complete layers
 when a checkpoint is to be extended further later.  A layer records the
 horizon of its cone, and so does its checkpoint.  Child band y reads parent
-bands y - 1, y and y + 1 only, so ``extend_counts`` frees each parent band
-once no later child band reads it: a row's layer stays valid until the next
-row is asked for, the start layer included.
+bands y - 1, y and y + 1 only, so an advance frees each parent buffer once no
+later child band reads any band in it: a row's layer stays valid until the
+next row is asked for, the start layer included.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import struct
@@ -59,6 +63,11 @@ import numpy as np
 
 LIMB_BITS = 60
 LIMB_MASK = (1 << LIMB_BITS) - 1
+# bytes of the buffer an advance builds consecutive bands into; a larger band
+# gets a buffer of its own.  Advancing G and H to n = 150 in-process took
+# 0.14 s with 128 KiB, 0.15 s with 64 or 256 KiB, 0.16 s with 1 MiB and
+# 0.18 s with a buffer per band (2 vCPUs, Intel Xeon)
+CHUNK_BYTES = 128 << 10
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
 # versions 1 and 2 stored decimal digits (2 as area differences), version 3
@@ -142,9 +151,12 @@ class Band:
     """Counts for one height: a dense area band [lo, hi] of limb vectors per parity.
 
     hi is cap + 1 in a complete layer; a cone layer may cut it lower and
-    lo higher (`_band_geometry`).  A limb may hold up to 2**60 + 3 (one carry
-    pass, `_carry_once`), so two bands are equal when their carried copies
-    are, not their raw limbs.
+    lo higher (`_band_geometry`).  A full band, hi = cap + 1, holds more
+    rows: the period-two continuation of its representatives at cap and
+    cap + 1, as far as the next advance reads (`_band_layout`).  limbs is
+    usually a view into a buffer that consecutive bands share.  A limb may
+    hold up to 2**60 + 3 (one carry pass, `_carry_once`), so two bands are
+    equal when their carried rows lo..hi are, not their raw limbs.
     """
 
     __slots__ = ("lo", "cap", "limbs")
@@ -152,17 +164,23 @@ class Band:
     def __init__(self, lo: int, cap: int, limbs: np.ndarray):
         self.lo = lo
         self.cap = cap
-        self.limbs = limbs  # shape (hi + 1 - lo, parities, nlimbs), int64
+        self.limbs = limbs  # shape (rows, parities, nlimbs), int64
+
+    @property
+    def hi(self) -> int:
+        """Last stored area; the rows past it continue the representatives."""
+        return min(self.lo + len(self.limbs), self.cap + 2) - 1
+
+    def stored(self) -> np.ndarray:
+        """The rows lo..hi, a view."""
+        return self.limbs[: self.hi + 1 - self.lo]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Band)
-            and self.lo == other.lo
-            and self.cap == other.cap
-            and self.limbs.shape == other.limbs.shape
-            and bool(np.array_equal(_carry_normalize(self.limbs.copy()),
-                                    _carry_normalize(other.limbs.copy())))
-        )
+        if not (isinstance(other, Band) and self.lo == other.lo and self.cap == other.cap):
+            return False
+        mine, theirs = self.stored(), other.stored()
+        return mine.shape == theirs.shape and bool(np.array_equal(
+            _carry_normalize(mine.copy()), _carry_normalize(theirs.copy())))
 
 
 @dataclass(eq=False)
@@ -192,13 +210,33 @@ class Layer:
 
     def value(self, y: int, a: int) -> tuple:
         """F(depth, y, a) per parity, zero off the bands and period two above a cap."""
-        cell = np.zeros((1, len(self.parities), _nlimbs(self.depth)), dtype=np.int64)
-        _add_band_range(cell, self.bands, y, a)
-        return tuple(_limbs_to_int(limbs) for limbs in cell[0])
+        band = self.bands.get(y)
+        if band is not None:
+            if a > band.hi == band.cap + 1:  # fold onto the representative
+                a = band.cap + (a - band.cap) % 2
+            if band.lo <= a <= band.hi:
+                return tuple(_limbs_to_int(limbs) for limbs in band.limbs[a - band.lo])
+        return (0,) * len(self.parities)
+
+    @property
+    def cells(self) -> int:
+        """Stored cells per parity: the areas lo..hi of each band, no continuation."""
+        return sum(band.hi + 1 - band.lo for band in self.bands.values())
 
     @property
     def nbytes(self) -> int:
-        return sum(band.limbs.nbytes for band in self.bands.values())
+        """Bytes of the buffers the bands hold, each whole while any band is in it."""
+        return sum(nbytes for *_, nbytes in _buffers(self))
+
+
+def _buffers(layer: Layer) -> list:
+    """(lowest height, highest height, bytes) of each buffer the layer's bands are in."""
+    spans = {}
+    for y in sorted(layer.bands):
+        limbs = layer.bands[y].limbs
+        buf = limbs if limbs.base is None else limbs.base
+        spans.setdefault(id(buf), [y, y, buf.nbytes])[1] = y
+    return sorted(map(tuple, spans.values()))
 
 
 def cone_reach(k: int, y: int) -> int:
@@ -212,7 +250,8 @@ def cone_reach(k: int, y: int) -> int:
     return (m * (m + 1) + (k - m) * (2 * y + k - m - 1)) // 2
 
 
-def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
+@functools.lru_cache(maxsize=4)
+def _band_geometry(depth: int, horizon: int | None = None) -> tuple:
     """(y, lo, cap, hi) of each band at `depth`, in increasing height.
 
     A band stores the areas lo..hi.  With no horizon the layer is complete:
@@ -220,15 +259,18 @@ def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
     that F(H, 0, 0) reads are kept, those within ``cone_reach`` of the
     origin, and a band empty on that range is dropped.  Clamping lo to at
     most cap keeps a full band's two period-two representatives, which reads
-    above cap + 1 land on.  A read from a stored cell lands in a stored row,
-    on a representative or below the floor: one more step extends the path.
+    above cap + 1 repeat.  A read from a stored cell lands in a stored row,
+    above a full band or below the floor: one more step extends the path.
     The cone of H holds the cone of every H' < H, since a path may start
-    with flat steps at 0.
+    with flat steps at 0, and it keeps a band at every height 0..min(depth,
+    H - depth).  Cached: an advance reads the geometry of its depth and of
+    the next.
     """
     ylo, yhi = -depth - 1, depth
     if horizon is not None:
         k = horizon - depth
         ylo, yhi = max(ylo, -k), min(yhi, k)
+    bands = []
     for y in range(ylo, yhi + 1):
         lo = area_floor(y)
         cap = max(0, decrease_cap(depth, y))
@@ -237,7 +279,51 @@ def _band_geometry(depth: int, horizon: int | None = None) -> Iterator[tuple]:
             lo = max(lo, min(-cone_reach(k, -y), cap))
             hi = min(hi, cone_reach(k, y))
         if lo <= hi:
-            yield y, lo, cap, hi
+            bands.append((y, lo, cap, hi))
+    return tuple(bands)
+
+
+def _band_layout(depth: int, horizon: int | None = None) -> Iterator[tuple]:
+    """(y, lo, cap, hi, rows) of each band at `depth`: its geometry and rows held.
+
+    A full band, hi = cap + 1, holds its period-two continuation past hi up
+    to the largest area the next advance with the same horizon reads of it:
+    child band y' reads parent band y' + dy at areas up to hi' + y' + dy.
+    An advance to a smaller horizon, or from a complete layer to a cone,
+    reads less.
+    """
+    child_hi = {y: hi for y, _, _, hi in _band_geometry(depth + 1, horizon)}
+    for y, lo, cap, hi in _band_geometry(depth, horizon):
+        last = hi
+        if hi == cap + 1:  # the largest read, hi if no child band reads past it
+            last = y + max(child_hi.get(y - 1, hi - y), child_hi.get(y, hi - y),
+                           child_hi.get(y + 1, hi - y))
+        yield y, lo, cap, hi, last + 1 - lo
+
+
+def _chunks(depth: int, horizon: int | None, npar: int) -> Iterator[tuple]:
+    """(bands, bytes) of each buffer of the layer at `depth`, in increasing height.
+
+    bands lists `_band_layout` tuples of consecutive heights, as many as fit
+    in CHUNK_BYTES; a band larger than that has a buffer of its own.
+    """
+    row = npar * _nlimbs(depth) * 8
+    chunk, size = [], 0
+    for band in _band_layout(depth, horizon):
+        if chunk and size + band[-1] * row > CHUNK_BYTES:
+            yield chunk, size
+            chunk, size = [], 0
+        chunk.append(band)
+        size += band[-1] * row
+    if chunk:
+        yield chunk, size
+
+
+def _continue(limbs: np.ndarray, lo: int, cap: int, hi: int) -> None:
+    """Fill the rows of a full band past hi from its representatives at cap and cap + 1."""
+    if len(limbs) > hi + 1 - lo:
+        limbs[hi + 1 - lo :: 2] = limbs[cap - lo]
+        limbs[hi + 2 - lo :: 2] = limbs[cap + 1 - lo]
 
 
 def initial_layer(*parities: Parity) -> Layer:
@@ -249,39 +335,12 @@ def initial_layer(*parities: Parity) -> Layer:
         raise ValueError("an initial layer needs at least one parity")
     parities = tuple(sorted(set(map(Parity, parities))))
     bands = {}
-    for y, lo, cap, hi in _band_geometry(0):
-        limbs = np.zeros((hi + 1 - lo, len(parities), _nlimbs(0)), dtype=np.int64)
+    for y, lo, cap, _, rows in _band_layout(0):
+        limbs = np.zeros((rows, len(parities), _nlimbs(0)), dtype=np.int64)
         for i, parity in enumerate(parities):
             limbs[(parity - lo) % 2 :: 2, i, 0] = 1  # areas of the starting parity
         bands[y] = Band(lo, cap, limbs)
     return Layer(0, parities, bands)
-
-
-def _add_band_range(out: np.ndarray, bands: dict, y: int, start: int) -> None:
-    """Add F(y, a) for a in [start, start + len(out)) into the rows of `out`, in place.
-
-    Reads below the band add nothing (boundary / floor pruning).  Reads above
-    a full band, one stored up to cap + 1, repeat the two cap representatives
-    by area parity; a cone band is never read outside its stored rows.  A
-    parent band may hold fewer limbs than `out`; it adds to the low ones.
-    """
-    band = bands.get(y)
-    if band is None:
-        return
-    lo, cap, src = band.lo, band.cap, band.limbs
-    out = out[..., : src.shape[2]]
-    stop = start + len(out)
-    end = lo + len(src)  # one past the last stored area
-    d0, d1 = max(start, lo), min(stop, end)
-    if d0 < d1:
-        rows = out[d0 - start : d1 - start]
-        np.add(rows, src[d0 - lo : d1 - lo], out=rows)
-    if stop > end == cap + 2:
-        t0 = max(start, cap + 2)
-        for rep in (cap, cap + 1):
-            first = t0 + ((rep - t0) & 1)  # first a >= t0 with a - rep even
-            rows = out[first - start :: 2]
-            np.add(rows, src[rep - lo], out=rows)
 
 
 def _carry_normalize(arr: np.ndarray) -> np.ndarray:
@@ -319,6 +378,27 @@ def _carry_once(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _advance_band(out: np.ndarray, parent: dict, y: int, lo: int, cap: int, hi: int) -> None:
+    """Build child band y into its zeroed rows `out`: up + down + 2 flat, then the continuation.
+
+    Child row a reads parent band y + dy at area a + y + dy; reads below a
+    parent band's lo add nothing (boundary / floor pruning), and every other
+    read lands in its rows (`_band_layout`), so each read is one slice op.
+    A parent band may hold fewer limbs than `out`; it adds to the low ones.
+    """
+    n = hi + 1 - lo
+    for dy in (0, 1, -1):  # the flat read first, doubled into the zeroed rows
+        band, start = parent.get(y + dy), lo + y + dy
+        if band is None or band.lo >= start + n:
+            continue
+        first = max(start, band.lo)
+        src = band.limbs[first - band.lo : start + n - band.lo]
+        dst = out[first - start : n, :, : src.shape[2]]
+        # src + src: the doubling, cheaper than a shift by a Python int
+        np.add(dst if dy else src, src, out=dst)
+    _continue(out, lo, cap, hi)
+
+
 def advance(layer: Layer, horizon: int | None = None) -> Layer:
     """Produce the layer one depth further, consuming the parent.
 
@@ -327,12 +407,13 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
     advances to any horizon up to its own, never to a larger one or to a
     complete layer.
 
-    Child bands are built in increasing height, and child band y reads parent
-    bands y - 1, y and y + 1 only, so the parent's bands below y - 1 are freed
-    before child band y is built.  The parent is left with no bands from the
-    start: any later read, save or size of it raises, even if the advance
-    stops part way.  A horizon it cannot reach raises before anything is
-    freed.
+    Child bands are built in increasing height, a buffer of them at a time
+    (`_chunks`), and child band y reads parent bands y - 1, y and y + 1 only,
+    so the parent's bands below y - 1 are deleted before the buffer that
+    starts at y is allocated; a parent buffer is freed with its last band.
+    The parent is left with no bands from the start: any later read, save or
+    size of it raises, even if the advance stops part way.  A horizon it
+    cannot reach raises before anything is freed.
     """
     depth = layer.depth + 1
     if (horizon is not None and horizon < depth) or (
@@ -342,39 +423,36 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
     parent, layer.bands = layer.bands, None
     npar, nl = len(layer.parities), _nlimbs(depth)
     bands = {}
-    unread = sorted(parent)  # parent heights to free, increasing
+    unread = sorted(parent)  # parent heights to delete, increasing
     i = 0
-    for y, lo, cap, hi in _band_geometry(depth, horizon):
-        while i < len(unread) and unread[i] < y - 1:  # read by no child band from y on
+    for chunk, nbytes in _chunks(depth, horizon, npar):
+        while i < len(unread) and unread[i] < chunk[0][0] - 1:  # read by no band from here
             del parent[unread[i]]
             i += 1
-        out = np.zeros((hi + 1 - lo, npar, nl), dtype=np.int64)
-        # up + down + 2 flat, added in place into the child band
-        _add_band_range(out, parent, y, lo + y)
-        out <<= 1
-        _add_band_range(out, parent, y + 1, lo + y + 1)
-        _add_band_range(out, parent, y - 1, lo + y - 1)
-        bands[y] = Band(lo, cap, _carry_once(out))
+        buf = np.zeros((nbytes // (8 * npar * nl), npar, nl), dtype=np.int64)
+        row = 0
+        for y, lo, cap, hi, rows in chunk:
+            out = buf[row : row + rows]
+            row += rows
+            _advance_band(out, parent, y, lo, cap, hi)
+            bands[y] = Band(lo, cap, out)
+        _carry_once(buf)
     return Layer(depth, layer.parities, bands, horizon)
-
-
-def _band_bytes(depth: int, horizon: int | None = None, npar: int = 1) -> Iterator[tuple]:
-    """(y, bytes) of each band of the layer at `depth`, in increasing height."""
-    for y, lo, _, hi in _band_geometry(depth, horizon):
-        yield y, (hi + 1 - lo) * npar * _nlimbs(depth) * 8
 
 
 def _advance_peak_bytes(layer: Layer, horizon: int | None) -> int:
     """Most bytes a consuming advance of `layer` holds at once.
 
-    While child band y is built the parent holds its bands at heights y - 1
-    and up, and the child its bands at heights y and below.
+    Each child buffer is allocated whole, once the parent's bands below its
+    lowest height y - 1 are deleted; a parent buffer is freed with its
+    highest band.  So the peak is at an allocation: the parent buffers still
+    holding a band at height y - 1 or up, plus the child buffers so far.
     """
-    parent = sorted((y, band.limbs.nbytes) for y, band in layer.bands.items())
-    held, peak, i = sum(nbytes for _, nbytes in parent), 0, 0
-    for y, nbytes in _band_bytes(layer.depth + 1, horizon, len(layer.parities)):
-        while i < len(parent) and parent[i][0] < y - 1:
-            held -= parent[i][1]
+    parent = _buffers(layer)  # disjoint height ranges, increasing
+    held, peak, i = layer.nbytes, 0, 0
+    for chunk, nbytes in _chunks(layer.depth + 1, horizon, len(layer.parities)):
+        while i < len(parent) and parent[i][1] < chunk[0][0] - 1:
+            held -= parent[i][2]
             i += 1
         held += nbytes
         peak = max(peak, held)
@@ -473,9 +551,10 @@ class Checkpoint:
     now 7, parity mask u8 with bit p set for each parity p, depth u64, band
     count u64, limbs per cell u64, horizon i64, -1 for a complete layer); per
     band in increasing height, (y, lo, cap) as i64 and the band's int64 limb
-    block of (hi + 1 - lo) x parities x limbs, as in memory, where limbs is
-    ceil(2 depth / 60) (one at depth 0) and hi follows from the depth and the
-    horizon (`_band_geometry`); last, the zlib crc32 of everything before it.
+    block of (hi + 1 - lo) x parities x limbs, as in memory but without a
+    full band's continuation, where limbs is ceil(2 depth / 60) (one at depth
+    0) and hi follows from the depth and the horizon (`_band_geometry`);
+    last, the zlib crc32 of everything before it.
     """
 
     layer: Layer
@@ -503,7 +582,7 @@ class Checkpoint:
                 band = layer.bands[y]
                 crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
                 _carry_normalize(band.limbs)
-                crc = _crc_write(fh, np.ascontiguousarray(band.limbs, dtype="<i8"), crc)
+                crc = _crc_write(fh, np.ascontiguousarray(band.stored(), dtype="<i8"), crc)
             fh.write(_CKPT_CRC.pack(crc))
 
     @classmethod
@@ -526,10 +605,16 @@ class Checkpoint:
             horizon = None if horizon == -1 else horizon
             if nl != _nlimbs(depth) or (horizon is not None and horizon < depth):
                 raise CheckpointFormatError("header disagrees with the layer geometry")
-            geometry = _band_geometry(depth, horizon)
             size = os.fstat(fh.fileno()).st_size
+            # every height 0..min(depth, horizon - depth) keeps a band, and a
+            # band is 32 bytes or more: a crafted header cannot make the
+            # geometry outgrow the file
+            k = depth if horizon is None else horizon - depth
+            if 32 * (min(depth, k) + 1) > size:
+                raise CheckpointFormatError("checkpoint is truncated")
+            geometry = _band_layout(depth, horizon)
             bands = {}
-            for y, lo, cap, hi in itertools.islice(geometry, nbands):
+            for y, lo, cap, hi, rows in itertools.islice(geometry, nbands):
                 record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
                 got = _CKPT_BAND.unpack(record)
                 if got != (y, lo, cap):
@@ -537,11 +622,13 @@ class Checkpoint:
                 # a crafted header may name a band far larger than the file
                 if 8 * (hi + 1 - lo) * len(parities) * nl > size - fh.tell():
                     raise CheckpointFormatError("checkpoint is truncated")
-                limbs = np.empty((hi + 1 - lo, len(parities), nl), dtype="<i8")
-                raw = memoryview(limbs).cast("B")
+                # read straight into the band's rows, the continuation after them
+                limbs = np.empty((rows, len(parities), nl), dtype="<i8")
+                raw = memoryview(limbs[: hi + 1 - lo]).cast("B")
                 if fh.readinto(raw) != len(raw):
                     raise CheckpointFormatError("checkpoint is truncated")
                 crc = zlib.crc32(raw, crc)
+                _continue(limbs, lo, cap, hi)
                 bands[y] = Band(lo, cap, limbs.astype(np.int64, copy=False))
             if len(bands) != nbands or next(geometry, None) is not None:
                 raise CheckpointFormatError("band count disagrees with the layer geometry")
@@ -552,6 +639,6 @@ class Checkpoint:
                 raise CheckpointFormatError("trailing bytes after the checksum")
         # one carry pass per advance needs canonical limbs to start from
         for y, band in bands.items():
-            if band.limbs.view(np.uint64).max() > LIMB_MASK:  # a negative limb too
+            if band.stored().view(np.uint64).max() > LIMB_MASK:  # a negative limb too
                 raise CheckpointFormatError(f"band {y} holds a limb that is not canonical")
         return cls(Layer(depth, parities, bands, horizon))

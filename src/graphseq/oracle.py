@@ -15,9 +15,9 @@ from functools import cache
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-#: `oracle --ballot` draws its weights by rejection in random_sum_distinct_vector:
-#: 4.5 ms a vector at n = 8, 0.35 s at n = 9, none in 3 minutes at n = 10 (2 vCPUs).
-BALLOT_LIMIT = 8
+#: ballot_count's recursion takes 0.41 s at n = 11 and 1.3 s at n = 12 on
+#: 2 vCPUs (Intel Xeon), about 3x more for each further n
+BALLOT_LIMIT = 12
 # brute_counts grows about 3.5x per n: 7.9 s at n = 14, 27 s at n = 15 (2 vCPUs)
 BRUTE_LIMIT = 16
 
@@ -319,8 +319,8 @@ def double_factorial_odd(n: int) -> int:
     return out
 
 
-def is_sum_distinct(x: Iterable[Fraction]) -> bool:
-    sums = {Fraction(0)}
+def is_sum_distinct(x: Iterable) -> bool:
+    sums = {0}
     for v in x:
         new = set()
         for s in sums:
@@ -333,11 +333,21 @@ def is_sum_distinct(x: Iterable[Fraction]) -> bool:
 
 
 def random_sum_distinct_vector(n: int, rng, max_denominator: int = 64) -> tuple:
-    """Strictly positive rationals with pairwise-distinct subset sums."""
+    """Strictly positive weights with pairwise-distinct subset sums.
+
+    Up to n = 8 they are rationals k / max_denominator with 0 < k < 8
+    max_denominator, drawn by rejection, which finds no vector in minutes at
+    n = 10.  Above n = 8 they are integers from [1, 2**40), sum-distinct on
+    the first draw almost surely.  Ballot counts are scale-invariant, so
+    either serves.
+    """
     while True:
-        x = tuple(
-            Fraction(int(rng.integers(1, 8 * max_denominator)), max_denominator)
-            for _ in range(n)
-        )
+        if n <= 8:
+            x = tuple(
+                Fraction(int(rng.integers(1, 8 * max_denominator)), max_denominator)
+                for _ in range(n)
+            )
+        else:
+            x = tuple(int(v) for v in rng.integers(1, 1 << 40, size=n))
         if is_sum_distinct(x):
             return x

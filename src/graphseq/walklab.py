@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine
 
-EXACT_LIMIT = 300         # persistence_exact(300) takes about 4 s (3.8-4.1 s) on 2 vCPUs
+EXACT_LIMIT = 300         # persistence_exact(300) takes about 3 s (2.4-3.2 s) on 2 vCPUs
 MC_BATCH = 200_000        # samples per Monte Carlo shard; fixes the shard layout
 
 

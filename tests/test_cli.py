@@ -89,7 +89,7 @@ def test_bad_arguments_exit_code(capsys):
         ["constants", "--grids", "8"],
         ["walk", "--n", "0"],
         ["walk", "--n", "5", "--samples", "0"],
-        ["oracle", "--ballot", "9"],
+        ["oracle", "--ballot", "13"],
         ["count", "--max-n", "5", "--checkpoint-every", "-1"],
         ["count", "--max-n", "5", "--memory-limit", "0"],
         ["count-ondemand", "--checkpoint", "missing.ckpt", "--target-n", "9",
@@ -379,7 +379,7 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
 def test_count_ondemand_refuses_a_band_larger_than_the_file(tmp_path, capsys):
     # a 69-byte file whose header names an 828 GiB first band
     depth, horizon = 10**8, 10**8 + 10**5
-    y, lo, cap, _ = next(engine._band_geometry(depth, horizon))
+    y, lo, cap, _ = engine._band_geometry(depth, horizon)[0]
     path = tmp_path / "crafted.ckpt"
     path.write_bytes(engine.CHECKPOINT_MAGIC + engine._CKPT_HEADER.pack(
         engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
@@ -564,7 +564,9 @@ def test_count_manifest_records_cost_and_versions(tmp_path, capsys):
 def test_count_manifest_records_the_cells_advanced(tmp_path, capsys):
     geometry = engine._band_geometry
     cells = [sum(hi + 1 - lo for _, lo, _, hi in geometry(d, 39)) for d in range(1, 40)]
-    limbs = max(c * engine._nlimbs(d) for d, c in enumerate(cells, 1))
+    # a layer's buffers hold its cells and the continuation of its full bands
+    limbs = max(sum(rows for *_, rows in engine._band_layout(d, 39)) * engine._nlimbs(d)
+                for d in range(1, 40))
     # cells x parities: a csv run advances G and H over the same cells
     for fmt, parities in (("bfile", 1), ("csv", 2)):
         run_dir = tmp_path / fmt

@@ -260,11 +260,16 @@ def cone_bands(depth, horizon):
     return {y: (lo, cap, hi) for y, lo, cap, hi in engine._band_geometry(depth, horizon)}
 
 
-@pytest.mark.parametrize("horizon", range(1, 41))
+@pytest.mark.parametrize("horizon", [None, *range(1, 41)])
 def test_cone_reads_land_in_stored_rows(horizon):
-    for depth in range(1, horizon + 1):
-        parent = cone_bands(depth - 1, horizon)
+    # complete layers to depth 40 and cones: every read of the next advance
+    # lands in a stored row, in a full band's stored continuation or below
+    # the floor, and a continuation holds no row that no read reaches
+    for depth in range(1, 41 if horizon is None else horizon + 1):
+        parent = {y: (lo, cap, hi, lo + rows - 1)
+                  for y, lo, cap, hi, rows in engine._band_layout(depth - 1, horizon)}
         reachable = {y for y, *_ in engine._band_geometry(depth - 1)}
+        top = {}
         for y, (lo, _, hi) in cone_bands(depth, horizon).items():
             for yp in (y - 1, y, y + 1):
                 # the reads a + yp for a in lo..hi; those below the floor are 0
@@ -272,10 +277,34 @@ def test_cone_reads_land_in_stored_rows(horizon):
                 if first > last or yp not in reachable:
                     continue
                 assert yp in parent, (horizon, depth, y, yp)  # a dropped height
-                plo, pcap, phi = parent[yp]
-                assert plo <= first, (horizon, depth, y, yp)
-                # past hi only a full band answers, from its representatives
+                plo, pcap, phi, held = parent[yp]
+                assert plo <= first <= last <= held, (horizon, depth, y, yp)
+                # past hi only a full band holds rows: its continuation
                 assert last <= phi or plo <= pcap < phi, (horizon, depth, y, yp)
+                top[yp] = max(top.get(yp, last), last)
+        for yp, (_, _, phi, held) in parent.items():
+            assert held == max(phi, top.get(yp, phi)), (horizon, depth, yp)
+
+
+@pytest.mark.parametrize("horizon", [None, 19])
+def test_continuation_rows_repeat_the_representatives(horizon, tmp_path):
+    depth, path = 10, tmp_path / "layer.ckpt"
+    layer = layer_at(depth, *Parity, horizon=horizon)
+    Checkpoint(layer).save(path)
+    for held in (layer_at(depth, *Parity, horizon=horizon), Checkpoint.load(path).layer):
+        continued = 0
+        for y, band in held.bands.items():
+            lo, cap, hi = band.lo, band.cap, band.hi
+            for a in range(hi + 1, lo + len(band.limbs)):
+                rep = cap + (a - cap) % 2
+                assert [engine._limbs_to_int(v) for v in band.limbs[a - lo]] == [
+                    engine._limbs_to_int(v) for v in band.limbs[rep - lo]], (y, a)
+                continued += 1
+            if hi == cap + 1:
+                for a in (cap + 1000, cap + 1001):
+                    assert held.value(y, a) == tuple(
+                        reference_count(depth, y, a, parity) for parity in Parity), (y, a)
+        assert continued
 
 
 def test_cone_bounds_are_tight():
@@ -295,6 +324,8 @@ def test_cone_bounds_are_tight():
                     if lo <= hi:
                         want[y] = (lo, cap, hi)
             assert cone_bands(depth, horizon) == want, (horizon, depth)
+            # a checkpoint's load bounds its geometry by the file size on this
+            assert set(range(min(depth, k) + 1)) <= want.keys(), (horizon, depth)
 
 
 def test_cone_of_a_smaller_horizon_lies_inside():
@@ -408,8 +439,9 @@ def non_canonical_twins(depth=40):
         for y, band in twin.bands.items()})
     band = twin.bands[0]
     assert engine._nlimbs(depth) == 2
-    band.limbs[band.cap - band.lo, 0] = [3, 6]
-    layer.bands[0].limbs[band.cap - band.lo, 0] = [LIMB_BOUND, 5]
+    # the cap row and the rows of the continuation that repeat it
+    band.limbs[band.cap - band.lo :: 2, 0] = [3, 6]
+    layer.bands[0].limbs[band.cap - band.lo :: 2, 0] = [LIMB_BOUND, 5]
     return layer, twin
 
 
@@ -580,7 +612,7 @@ def test_checkpoint_band_count_must_match_the_geometry(tmp_path):
     for parities in PARITY_SETS:
         layer = layer_at(10, *parities, horizon=19)
         path, good = saved_bytes(tmp_path, depth=10, horizon=19, parities=parities)
-        last_band = engine._CKPT_BAND.size + layer.bands[max(layer.bands)].limbs.nbytes
+        last_band = engine._CKPT_BAND.size + layer.bands[max(layer.bands)].stored().nbytes
         nbands = len(layer.bands)
         # one band short, its record gone too; one band more than stored
         for count, body in ((nbands - 1, good[: -4 - last_band]), (nbands + 1, good[:-4])):
@@ -598,7 +630,7 @@ def huge_band_header():
     depth, horizon = 10**8, 10**8 + 10**5
     header = engine._CKPT_HEADER.pack(
         engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
-    y, lo, cap, _ = next(engine._band_geometry(depth, horizon))
+    y, lo, cap, _ = engine._band_geometry(depth, horizon)[0]
     return engine.CHECKPOINT_MAGIC + header + engine._CKPT_BAND.pack(y, lo, cap)
 
 
@@ -711,18 +743,21 @@ def test_extend_memory_budget():
     assert info.value.needed > info.value.budget == 1000
 
 
-def test_extend_budget_is_the_peak_of_the_consuming_advance():
-    # each advance frees parent band y - 1 once child band y exists, and the
-    # start layer (a checkpoint's) is consumed like any parent: while child
-    # band y is built the process holds the parent bands at heights y - 1 and
-    # up and the child bands at heights y and below
+def test_extend_budget_is_the_peak_of_the_consuming_advance(monkeypatch):
+    # each advance frees a parent buffer once its highest band is below y - 1,
+    # y the lowest height of the next child buffer, and the start layer (a
+    # checkpoint's) is consumed like any parent: when the child buffer from y
+    # up is allocated the process holds the parent buffers with a band at
+    # height y - 1 or up and the child buffers from y down.  Buffers of 1 KiB
+    # cut these small layers into several each
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 10)
     max_n = 30
     parent, peak, peak_depth, whole = layer_at(12), 0, None, 0
     for _ in range(13, max_n):
         child = advance(copy.deepcopy(parent), max_n - 1)  # the copy is consumed
-        for y in child.heights():
-            held = sum(band.limbs.nbytes for h, band in parent.bands.items() if h >= y - 1)
-            held += sum(band.limbs.nbytes for h, band in child.bands.items() if h <= y)
+        for y, _, _ in engine._buffers(child):
+            held = sum(nbytes for _, high, nbytes in engine._buffers(parent) if high >= y - 1)
+            held += sum(nbytes for low, _, nbytes in engine._buffers(child) if low <= y)
             if held > peak:
                 peak, peak_depth = held, parent.depth
         whole = max(whole, parent.nbytes + child.nbytes)
@@ -768,8 +803,9 @@ def test_layer_estimate_is_the_advanced_layer_size(parities, horizon):
     layer = initial_layer(*parities)
     for depth in range(1, 41):
         layer = advance(layer, horizon)
-        assert dict(engine._band_bytes(depth, horizon, len(parities))) == {
-            y: band.limbs.nbytes for y, band in layer.bands.items()}
+        sizes = [nbytes for _, nbytes in engine._chunks(depth, horizon, len(parities))]
+        assert sizes == [nbytes for *_, nbytes in engine._buffers(layer)]
+        assert sum(sizes) == layer.nbytes
 
 
 def test_stream_counts_memory_budget():

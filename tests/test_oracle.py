@@ -224,6 +224,23 @@ def test_ballot_count_equals_the_listing_of_every_arrangement(n):
         assert ballot_count(x) == _ballot_by_listing(x)
 
 
+def test_sum_distinct_draw_past_eight_is_integers():
+    rng = np.random.default_rng(9)
+    # n <= 8 keeps its rational draw, and with it every seeded vector
+    assert all(type(v) is Fraction and 64 % v.denominator == 0
+               for v in random_sum_distinct_vector(8, rng))
+    for n in (9, 10):
+        x = random_sum_distinct_vector(n, rng)
+        assert all(type(v) is int and 1 <= v < 1 << 40 for v in x) and is_sum_distinct(x)
+        assert ballot_count(x) == double_factorial_odd(n)
+
+
+def test_ballot_refuses_more_than_its_limit():
+    assert oracle.BALLOT_LIMIT == 12
+    with pytest.raises(ValueError, match="limited"):
+        ballot_count(tuple(range(1, 14)))
+
+
 def test_ballot_rejects_nonpositive():
     with pytest.raises(ValueError):
         ballot_count((Fraction(1), Fraction(0)))
