@@ -13,10 +13,11 @@ before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
 one step law and one set of landing masses, has one solver: conjugate
 gradients for P(hit 0) and P(hit '-'), '*' following from the row sums, in
 the pmf's own arithmetic.  Over Fractions, on small grids, CG ends on the
-exact solution; in long doubles each step is one FFT Toeplitz product.  One
-solve per grid gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'),
-whose long-double ends are shifted down until they check as sub-solutions,
-and, by one Sherman-Morrison step on the vectors as solved, the amalgamated
+exact solution; in long doubles each step is one FFT Toeplitz product and
+one FFT solve with T. Chan's circulant preconditioner.  One solve per grid
+gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'), whose long-double
+ends are shifted down until they check as sub-solutions, and, by one
+Sherman-Morrison step on the vectors as solved, the amalgamated
 estimate (n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
 constant of the graphic sequence count is Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
 
@@ -159,26 +160,38 @@ def _area_pmf_dp(K: int, kind: str, exact: bool) -> np.ndarray:
     States are (height >= 1, area spent); every transition adds the new
     height, so the area strictly increases and a single pass in area order
     suffices.  The first up-step carries the excursion's positivity weight.
-    A cell (t, h) only receives mass from area t - h, by an up, a flat and a
-    down step in that order, so each area is three vectorized adds across
-    heights.  Exact runs hold Fractions in object arrays.
+    A cell (t, g) gets all its mass from area t - g, by an up, a flat and a
+    down step in that order, so area t pulls its heights g = 1..G, G =
+    min(hmax, t - 1), at once, summing in the same order as pushing them would.
+    In the flattened window, rows of width W = hmax + 2 whose columns 0 and
+    hmax + 1 stay zero, the three sources of g = 1..G are slices with stride
+    -(W - 1).  Area t reads areas t - hmax .. t - 1 only, so the window holds
+    2 (hmax + 1) areas and, when full, slides the last hmax + 1 back to the
+    front.  Exact runs hold Fractions in object arrays.
     """
     up, flat, down = (v if exact else _long(v) for v in _step_law(kind))
     hmax = int(math.isqrt(2 * K)) + 2
+    width, rows, keep = hmax + 2, 2 * (hmax + 1), hmax + 1
     zero = Fraction(0) if exact else LONG(0.0)
-    live = np.full((K + 1, hmax + 2), zero, dtype=object if exact else LONG)
-    out = np.full(K + 1, zero, dtype=live.dtype)
-    live[1, 1] = up
-    heights = np.arange(1, hmax + 1)
-    for a in range(1, K + 1):
-        out[a] = live[a, 1] * down
-        h = heights[: max(0, min(hmax, K - a - 1))]
-        live[a + h + 1, h + 1] += live[a, h] * up
+    window = np.full(rows * width, zero, dtype=object if exact else LONG)
+    out = np.full(K + 1, zero, dtype=window.dtype)
+    window[width + 1] = up  # area 1 sits in row 1, height 1
+    out[1] = up * down
+    base, stride = 0, 1 - width  # area t sits in row t - base
+    for t in range(2, K + 1):
+        if t - base == rows:  # from here on g = hmax, so each row is overwritten whole
+            window[: keep * width] = window[(rows - keep) * width :]
+            base += rows - keep
+        row = (t - base) * width + 1
+        g = min(hmax, t - 1)
+        src = row - width - 1  # area t - 1, height 0: the up source of g = 1
+        end = src + g * stride
+        cell = window[src:end:stride] * up
         if flat:
-            h = heights[: max(0, min(hmax, K - a))]
-            live[a + h, h] += live[a, h] * flat
-        h = heights[1 : max(0, min(hmax, K - a + 1))]
-        live[a + h - 1, h - 1] += live[a, h] * down
+            cell += window[src + 1 : end + 1 : stride] * flat
+        cell += window[src + 2 : end + 2 : stride] * down
+        window[row : row + g] = cell
+        out[t] = cell[0] * down
     return out
 
 
@@ -251,33 +264,60 @@ def _toeplitz_product(spectrum, h):
 
 
 def _direct_product(p, h):
-    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one direct convolution."""
+    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one direct convolution.
+
+    The kernel p[m-1..1], 0, p[1..m-1] is 2m - 1 long, so the m "valid"
+    outputs are exactly (T h)_0 .. (T h)_{m-1}, each one full dot product.
+    """
     m = len(h)
     kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=p.dtype), p[1:m]))
-    return np.convolve(h, kernel)[m - 1 : 2 * m - 1]
+    return np.convolve(h, kernel, mode="valid")
 
 
-def _cg_solve(product, rhs, diag):
+def _chan_spectrum(p, m: int, diag):
+    """Eigenvalues of T. Chan's circulant preconditioner P = diag I - C(T).
+
+    C(T) is the circulant nearest T in the Frobenius norm, first column c_k =
+    ((m - k) p[k] + k p[m - k]) / m, so its eigenvalues are rfft(c), real since
+    c_k = c_{m-k}.  Each is at least diag - sum(c) = diag - 2 sum_j (m - j) p[j]
+    / m > diag - 2 sum_j p[j] > 0 (diag = 2 sign), so P is positive definite.
+    """
+    k = np.arange(1, m)
+    c = np.zeros(m, dtype=LONG)
+    c[1:] = ((m - k) * p[1:m] + k * p[m - 1 : 0 : -1]) / m
+    return diag - np.fft.rfft(c).real
+
+
+def _circulant_solve(spectrum, r):
+    """P^-1 r for the circulant P with these eigenvalues, by one rfft and one irfft."""
+    return np.fft.irfft(np.fft.rfft(r) / spectrum, len(r))
+
+
+def _cg_solve(product, rhs, diag, precondition=None):
     """Conjugate gradients for A h = rhs, A = diag I - T; returns (h, products of T).
 
-    A is symmetric and diagonally dominant, so positive definite.  Over Fractions CG
-    stops on an exactly zero residual, which it reaches within len(rhs) steps.  In long
-    doubles it stops once max|rhs - A h| / diag, the size of a Jacobi step, is below
-    DEFAULT_SWEEP_TOL; its recursive residual stays within 1e-18 of rhs - A h up to
-    n = 16384.
+    A is symmetric and diagonally dominant, so positive definite.  `precondition`,
+    if given, applies the inverse of a positive definite P to a residual (PCG);
+    its work is not counted.  Over Fractions CG runs unpreconditioned and stops on an
+    exactly zero residual, which it reaches within len(rhs) steps.  In long doubles it
+    stops once max|rhs - A h| / diag, the size of a Jacobi step, is below
+    DEFAULT_SWEEP_TOL; with T. Chan's preconditioner its recursive residual stays
+    within 1e-17 of rhs - A h, by the direct product, up to n = 16384.
     """
     tol = 0 if rhs.dtype == object else DEFAULT_SWEEP_TOL  # over Fractions only r = 0 stops
     h = np.zeros_like(rhs)
-    r = d = rhs
-    rr = np.dot(r, r)
+    r = rhs
+    d = z = r if precondition is None else precondition(r)
+    rz = np.dot(r, z)
     for products in range(MAX_SWEEPS):
         if not r.any() or np.max(np.abs(r)) < tol * diag:
             return h, products
         ad = diag * d - product(d)
-        alpha = rr / np.dot(d, ad)
+        alpha = rz / np.dot(d, ad)
         h, r = h + alpha * d, r - alpha * ad
-        rr, rr_old = np.dot(r, r), rr
-        d = r + rr / rr_old * d
+        z = r if precondition is None else precondition(r)
+        rz, rz_old = np.dot(r, z), rz
+        d = z + rz / rz_old * d
     raise ChainConvergenceError(f"no convergence to {DEFAULT_SWEEP_TOL} within "
                                 f"{MAX_SWEEPS} products (n = {len(rhs) + 1})")
 
@@ -313,19 +353,24 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
     stays put with the flat mass and moves to j with p[|i - j|].  An exact pmf on a grid
     n <= EXACT_CHAIN_LIMIT is solved over Fractions, each product direct, so the vectors
     are the exact solution; otherwise in long doubles, each product one FFT with the
-    circulant that embeds T.  Two solves give "zero" and "minus"; "star" is
-    1 - zero - minus, since the row sums are A 1 = b_zero + b_minus + b_star
-    (diag = 2 sign) and absorption is certain.  "sweeps" counts products of T.  The
-    long-double vectors are as CG leaves them; `rho_bounds` shifts and checks the
-    bracket ends.
+    circulant that embeds T, preconditioned by T. Chan's circulant (`_chan_spectrum`).
+    Two solves give "zero" and "minus"; "star" is 1 - zero - minus, since the row sums
+    are A 1 = b_zero + b_minus + b_star (diag = 2 sign) and absorption is certain.
+    "sweeps" counts products of T, not the preconditioner's FFTs.  The long-double
+    vectors are as CG leaves them; `rho_bounds` shifts and checks the bracket ends.
     """
     _check_grid(n, pmf)
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
-    product = (partial(_direct_product, p) if exact
-               else partial(_toeplitz_product, _toeplitz_spectrum(p, n - 1)))
+    diag = 1 - zero_mass
+    if exact:
+        product, precondition = partial(_direct_product, p), None
+    else:
+        product = partial(_toeplitz_product, _toeplitz_spectrum(p, n - 1))
+        precondition = partial(_circulant_solve, _chan_spectrum(p, n - 1, diag))
     b_minus = _landing_masses(n, p, sign)[0][1:]
-    (zero, s1), (minus, s2) = (_cg_solve(product, b, 1 - zero_mass) for b in (p[1:n], b_minus))
+    (zero, s1), (minus, s2) = (_cg_solve(product, b, diag, precondition)
+                               for b in (p[1:n], b_minus))
     return {"zero": zero, "minus": minus, "star": 1 - zero - minus, "sweeps": s1 + s2}
 
 
@@ -339,7 +384,7 @@ class RhoEstimate:
     mode: str  # "exact-rational" | "iterative"
     n: int
     kind: str
-    sweeps: int = 0  # FFT Toeplitz products of a long-double solve; 0 for an exact one
+    sweeps: int = 0  # products of T in a long-double solve; 0 for an exact one
 
     def __post_init__(self):
         if not self.lower <= self.upper:

@@ -1,6 +1,7 @@
 """Generating function, excursion-area laws, the absorbing chain, constants."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -129,15 +130,15 @@ def test_float_pmf_uses_extended_precision():
         assert abs(float(pmf.p[i]) - float(exact[i])) < 1e-17
 
 
-def _scalar_area_pmf_dp(K, kind):
-    """The cell-by-cell form of the first-passage DP, in long doubles."""
-    long = np.longdouble
-    up, flat, down = {"lazy": (0.25, 0.5, 0.25), "simple": (0.5, 0.0, 0.5)}[kind]
-    up, flat, down = long(up), long(flat), long(down)
+def _scalar_area_pmf_dp(K, kind, exact=False):
+    """The cell-by-cell push form of the first-passage DP, over every area."""
+    law = {"lazy": (F(1, 4), F(1, 2), F(1, 4)), "simple": (F(1, 2), F(0), F(1, 2))}[kind]
+    zero = F(0) if exact else np.longdouble(0)
+    up, flat, down = (v if exact else np.longdouble(float(v)) for v in law)
     hmax = math.isqrt(2 * K) + 2
-    live = np.zeros((K + 1, hmax + 2), dtype=long)
+    live = np.full((K + 1, hmax + 2), zero, dtype=object if exact else np.longdouble)
     live[1][1] = up
-    out = np.zeros(K + 1, dtype=long)
+    out = np.full(K + 1, zero, dtype=live.dtype)
     for a in range(1, K + 1):
         row = live[a]
         out[a] = row[1] * down
@@ -156,11 +157,32 @@ def _scalar_area_pmf_dp(K, kind):
 
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
 def test_dp_matches_cell_by_cell_loop_bit_for_bit(kind):
-    for K in (1, 2, 3, 1024):
+    # at K = 600 (hmax = 36) the window of 74 areas slides 15 times
+    for K in (1, 2, 3, 600, 1024):
         fast = float_pmf(K, kind).p
         slow = _scalar_area_pmf_dp(K, kind)
         assert fast.dtype == np.longdouble
         assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+def test_exact_dp_matches_cell_by_cell_loop(kind):
+    for K in (1, 2, 3, 600):
+        fast = area_pmf(K, kind, exact=True).p
+        assert fast.dtype == object
+        assert list(fast) == list(_scalar_area_pmf_dp(K, kind, exact=True))
+
+
+def test_dp_holds_a_window_not_the_area_table():
+    # the whole (K + 1) x (hmax + 2) table of long doubles took 48.8 MB at K = 16384;
+    # the window is 2 (hmax + 1) rows of hmax + 2, about 1.1 MB, beside the 0.26 MB pmf
+    tracemalloc.start()
+    try:
+        area_pmf(16384, "lazy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_area_pmf_rejects_bad_method():
@@ -339,6 +361,48 @@ def test_fft_product_matches_direct_convolution(m):
     assert float(np.max(np.abs(fast - direct))) <= 1e-17
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 257, 1023])
+def test_direct_product_is_the_middle_of_the_full_convolution(m):
+    # Fractions stop at 257: the object convolutions at m = 1023 take about 11 s
+    rng = np.random.default_rng(m)
+    dtypes = [np.longdouble] + ([object] if m <= 257 else [])
+    for dtype in dtypes:
+        if dtype is object:
+            p = np.asarray([F(0)] + [F(int(v), 64) for v in rng.integers(1, 64, m)], dtype=object)
+            h = np.asarray([F(int(v), 8) for v in rng.integers(0, 8, m)], dtype=object)
+        else:
+            p = float_pmf(max(m, 2), "lazy").p
+            h = rng.random(m).astype(np.longdouble)
+        kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=p.dtype), p[1:m]))
+        got = constants._direct_product(p, h)
+        assert got.dtype == dtype
+        assert list(got) == list(np.convolve(h, kernel)[m - 1 : 2 * m - 1])
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+@pytest.mark.parametrize("n", [2, 3, 8, 256, 1024])
+def test_circulant_preconditioner_is_positive_definite(kind, n):
+    p, zero_mass, _ = constants._pmf_arrays(float_pmf(n, kind))
+    m, diag = n - 1, 1 - zero_mass
+    eigenvalues = constants._chan_spectrum(p, m, diag)
+    assert eigenvalues.dtype == np.longdouble and len(eigenvalues) == m // 2 + 1
+    # each eigenvalue is diag - lambda with |lambda| <= sum(c) = 2 sum_j (m - j) p[j] / m,
+    # attained at frequency 0; the slack covers the rounding of both sums
+    bound = diag - 2 * np.sum((m - np.arange(1, m)) * p[1:m]) / m
+    slack = (m + 2) * np.finfo(np.longdouble).eps * diag
+    assert float(bound) > 0
+    assert np.all(eigenvalues > 0)
+    assert np.all(eigenvalues >= bound - slack)
+    # and P^-1 inverts P = diag I - C(T), built densely from its first column
+    k = np.arange(1, m)
+    column = np.zeros(m)
+    column[1:] = ((m - k) * p[1:m].astype(float) + k * p[m - 1 : 0 : -1].astype(float)) / m
+    dense = float(diag) * np.eye(m) - column[(np.arange(m)[:, None] - np.arange(m)) % m]
+    r = np.random.default_rng(n).random(m).astype(np.longdouble)
+    z = constants._circulant_solve(eigenvalues, r)
+    assert float(np.max(np.abs(dense @ z.astype(float) - r.astype(float)))) < 1e-12
+
+
 def test_sub_solution_check_backs_off_an_over_estimate():
     n = 64
     pmf = float_pmf(n, "lazy")
@@ -399,8 +463,9 @@ def test_conjugate_gradient_ends_are_checked_sub_solutions(kind, floor):
 
 @pytest.mark.parametrize("kind", ["lazy", "simple"])
 def test_conjugate_gradient_products_and_accuracy(kind):
-    # Jacobi sweeps took 370 (lazy) and 464 (simple) products here
-    assert chain_hitting_iterative(1024, float_pmf(1024, kind))["sweeps"] <= 150
+    # Jacobi sweeps took 370 (lazy) and 464 (simple) products here, plain CG 63 and
+    # 82, CG with T. Chan's preconditioner 19 and 21; the bound leaves a margin of 9
+    assert chain_hitting_iterative(1024, float_pmf(1024, kind))["sweeps"] <= 30
     n = 256
     pmf = float_pmf(n, kind)
     p, zero_mass, sign = constants._pmf_arrays(pmf)
@@ -421,12 +486,16 @@ def test_conjugate_gradient_products_and_accuracy(kind):
     want = float(zero_mass) + p[1:n].astype(float) @ merged + start_star * merged[-1]
     assert abs(rho_bounds(n, pmf).estimate - want) < 4e-12
     # the stopping rule holds for the residual recomputed from the solution
+    # (T. Chan's preconditioner, as the solver uses it, and plain CG)
     spectrum = constants._toeplitz_spectrum(p, n - 1)
-    for rhs in (p[1:n], b_minus, b_star):
-        h, _ = constants._cg_solve(
-            lambda d: constants._toeplitz_product(spectrum, d), rhs, 1 - zero_mass)
-        residual = direct_image(n, pmf, rhs, h) - h
-        assert float(np.max(np.abs(residual))) < constants.DEFAULT_SWEEP_TOL
+    chan = constants._chan_spectrum(p, n - 1, 1 - zero_mass)
+    for precondition in (lambda r: constants._circulant_solve(chan, r), None):
+        for rhs in (p[1:n], b_minus, b_star):
+            h, _ = constants._cg_solve(
+                lambda d: constants._toeplitz_product(spectrum, d), rhs, 1 - zero_mass,
+                precondition)
+            residual = direct_image(n, pmf, rhs, h) - h
+            assert float(np.max(np.abs(residual))) < constants.DEFAULT_SWEEP_TOL
 
 
 def test_lower_bounds_nondecreasing_in_grid():
