@@ -18,14 +18,22 @@ is then F(n-1, 0, 0) from the even start; the odd start counts the sequences
 that dominate but have odd sum.
 
 Layers are stored per height as dense bands over the feasible area range.
-Counts are little-endian 60-bit limbs in int64 numpy arrays, so a whole band
+Counts are little-endian 60-bit limbs in uint64 numpy arrays, so a whole band
 advances with a few vectorized adds regardless of how large the counts grow.
 A count at depth d >= 1 is below the total walk weight 4**d, so a cell holds
 ceil(2d / 60) limbs (one at depth 0).  An advance builds consecutive bands
-into one buffer of about CHUNK_BYTES, each band a contiguous view of it, and
-makes one carry pass per buffer (`_carry_once`), not a full normalization, so
-between advances a limb may hold up to 2**60 + 3.  Limbs are canonical, each
-below 2**60, in a checkpoint, and a read adds them into an exact int.
+into one buffer of about CHUNK_BYTES, each band a contiguous view of it.
+
+Every layer at an even depth is canonical, each limb at most LIMB_MASK =
+2**60 - 1, and so is every layer the engine starts from: the depth-0 layer
+and a loaded checkpoint.  A child limb sums four parent limbs (up + down +
+2 flat), so the layer one advance past a canonical one holds limbs of at
+most 4 * LIMB_MASK, and the next at most 16 * LIMB_MASK = 2**64 - 16, which
+uint64 holds and int64 does not.  So an advance to an odd depth makes no
+carry pass, and one to an even depth makes one per buffer (`_carry_once`),
+which leaves each limb at most LIMB_MASK + 15, and normalizes fully only the
+rare buffer with a limb still above LIMB_MASK.  A read adds the limbs into
+an exact int, and a checkpoint stores them canonical.
 The starting parity enters only through the depth-0 layer, so a layer holds
 one limb vector per cell and parity, and one advance moves every parity it
 holds.  Above the stabilization cap the counts are periodic in the area with
@@ -47,6 +55,7 @@ next row is asked for, the start layer included.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -65,8 +74,10 @@ LIMB_BITS = 60
 LIMB_MASK = (1 << LIMB_BITS) - 1
 # bytes of the buffer an advance builds consecutive bands into; a larger band
 # gets a buffer of its own.  Advancing G and H to n = 150 in-process took
-# 0.14 s with 128 KiB, 0.15 s with 64 or 256 KiB, 0.16 s with 1 MiB and
-# 0.18 s with a buffer per band (2 vCPUs, Intel Xeon)
+# 0.12-0.13 s with 128 KiB; 64 and 256 KiB came within 3% of it and 512 KiB
+# up to 28% slower, alternating in one process (2 vCPUs, Intel Xeon).  With
+# zeroed int64 buffers and a carry pass each, 1 MiB had taken 0.16 s and a
+# buffer per band 0.18 s
 CHUNK_BYTES = 128 << 10
 
 CHECKPOINT_MAGIC = b"GSEQCKPT"
@@ -110,28 +121,30 @@ class CheckpointFormatError(Exception):
     """A checkpoint file that is not a complete, intact current-version layer."""
 
 
-def decrease_cap(n_steps: int, y: int) -> int:
+def decrease_cap(n_steps: int, y):
     """Largest possible decrease of the area over n_steps steps from height y.
 
     Only walks that end in {0, -1} are considered.  For areas at or above
     max(0, decrease_cap) the survival constraint can never bind, so the count
-    depends on the area only through its parity.
+    depends on the area only through its parity.  y may be an array of
+    heights, which gives an array of caps.
     """
-    if not -n_steps - 1 <= y <= n_steps:
+    if not np.all((-n_steps - 1 <= y) & (y <= n_steps)):
         raise ValueError(f"height {y} unreachable in {n_steps} steps")
     v = n_steps * n_steps - 2 * n_steps * y + 2 * n_steps - y * y + ((n_steps - y) & 1)
-    assert v % 4 == 0
+    assert np.all(v % 4 == 0)
     return v // 4
 
 
-def area_floor(y: int) -> int:
+def area_floor(y):
     """Smallest start area that admits any surviving walk from height y.
 
     A walk from y < 0 ending in {0, -1} must visit y+1, ..., -1 at least once
     each, which costs (|y|-1)|y|/2 = y(y+1)/2 of area; below that everything
-    is exactly zero.
+    is exactly zero.  y may be an array of heights, which gives an array of
+    floors.
     """
-    return y * (y + 1) // 2 if y < 0 else 0
+    return y * (y + 1) // 2 * (y < 0)
 
 
 def _nlimbs(depth: int) -> int:
@@ -140,7 +153,7 @@ def _nlimbs(depth: int) -> int:
 
 
 def _limbs_to_int(limbs: np.ndarray) -> int:
-    # added, not OR-ed: a limb may exceed 60 bits between advances
+    # added, not OR-ed: a limb may exceed 60 bits at an odd depth
     value = 0
     for i in range(len(limbs) - 1, -1, -1):
         value = (value << LIMB_BITS) + int(limbs[i])
@@ -154,9 +167,10 @@ class Band:
     lo higher (`_band_geometry`).  A full band, hi = cap + 1, holds more
     rows: the period-two continuation of its representatives at cap and
     cap + 1, as far as the next advance reads (`_band_layout`).  limbs is
-    usually a view into a buffer that consecutive bands share.  A limb may
-    hold up to 2**60 + 3 (one carry pass, `_carry_once`), so two bands are
-    equal when their carried rows lo..hi are, not their raw limbs.
+    usually a view into a buffer that consecutive bands share.  At an odd
+    depth a limb may hold up to 4 * LIMB_MASK (no carry pass, see the module
+    docstring), so two bands are equal when their normalized rows lo..hi
+    are, not their raw limbs.
     """
 
     __slots__ = ("lo", "cap", "limbs")
@@ -164,7 +178,7 @@ class Band:
     def __init__(self, lo: int, cap: int, limbs: np.ndarray):
         self.lo = lo
         self.cap = cap
-        self.limbs = limbs  # shape (rows, parities, nlimbs), int64
+        self.limbs = limbs  # shape (rows, parities, nlimbs), uint64
 
     @property
     def hi(self) -> int:
@@ -245,14 +259,15 @@ def cone_reach(k: int, y: int) -> int:
     The walk climbs while it can, to m = (y + k) // 2, and then descends one
     unit per step to y.  Reading F(H, 0, 0) back k = H - depth steps reaches
     (depth, y, a) only for -cone_reach(k, -y) <= a <= cone_reach(k, y).
+    y may be an array of heights, which gives an array of sums.
     """
     m = (y + k) // 2
     return (m * (m + 1) + (k - m) * (2 * y + k - m - 1)) // 2
 
 
 @functools.lru_cache(maxsize=4)
-def _band_geometry(depth: int, horizon: int | None = None) -> tuple:
-    """(y, lo, cap, hi) of each band at `depth`, in increasing height.
+def _geometry(depth: int, horizon: int | None) -> tuple:
+    """Arrays y, lo, cap and hi of the bands at `depth`, in increasing height.
 
     A band stores the areas lo..hi.  With no horizon the layer is complete:
     every reachable height, hi = cap + 1.  With a horizon H only the cells
@@ -266,24 +281,29 @@ def _band_geometry(depth: int, horizon: int | None = None) -> tuple:
     H - depth).  Cached: an advance reads the geometry of its depth and of
     the next.
     """
-    ylo, yhi = -depth - 1, depth
+    ylo, yhi, k = -depth - 1, depth, depth
     if horizon is not None:
         k = horizon - depth
         ylo, yhi = max(ylo, -k), min(yhi, k)
-    bands = []
-    for y in range(ylo, yhi + 1):
-        lo = area_floor(y)
-        cap = max(0, decrease_cap(depth, y))
-        hi = cap + 1
-        if horizon is not None:
-            lo = max(lo, min(-cone_reach(k, -y), cap))
-            hi = min(hi, cone_reach(k, y))
-        if lo <= hi:
-            bands.append((y, lo, cap, hi))
-    return tuple(bands)
+    # int64 holds every term while depth and k are below 2**30; a crafted
+    # checkpoint header may name more, which Python ints hold
+    y = np.arange(ylo, yhi + 1, dtype=np.int64 if max(depth, k) < 1 << 30 else object)
+    lo = area_floor(y)
+    cap = np.maximum(decrease_cap(depth, y), 0)
+    hi = cap + 1
+    if horizon is not None:
+        lo = np.maximum(lo, np.minimum(-cone_reach(k, -y), cap))
+        hi = np.minimum(hi, cone_reach(k, y))
+    keep = lo <= hi
+    return y[keep], lo[keep], cap[keep], hi[keep]
 
 
-def _band_layout(depth: int, horizon: int | None = None) -> Iterator[tuple]:
+def _band_geometry(depth: int, horizon: int | None = None) -> tuple:
+    """(y, lo, cap, hi) of each band at `depth`, in increasing height (`_geometry`)."""
+    return tuple(zip(*(column.tolist() for column in _geometry(depth, horizon))))
+
+
+def _band_layout(depth: int, horizon: int | None = None) -> list:
     """(y, lo, cap, hi, rows) of each band at `depth`: its geometry and rows held.
 
     A full band, hi = cap + 1, holds its period-two continuation past hi up
@@ -292,13 +312,18 @@ def _band_layout(depth: int, horizon: int | None = None) -> Iterator[tuple]:
     An advance to a smaller horizon, or from a complete layer to a cone,
     reads less.
     """
-    child_hi = {y: hi for y, _, _, hi in _band_geometry(depth + 1, horizon)}
-    for y, lo, cap, hi in _band_geometry(depth, horizon):
-        last = hi
-        if hi == cap + 1:  # the largest read, hi if no child band reads past it
-            last = y + max(child_hi.get(y - 1, hi - y), child_hi.get(y, hi - y),
-                           child_hi.get(y + 1, hi - y))
-        yield y, lo, cap, hi, last + 1 - lo
+    y, lo, cap, hi = _geometry(depth, horizon)
+    cy, _, _, chi = _geometry(depth + 1, horizon)
+    # the child hi at heights y[0] - 1 .. y[-1] + 1; where no child band is,
+    # one that leaves y + reach below every hi
+    reach = np.full(y[-1] - y[0] + 3, -y[-1] - 1, dtype=y.dtype)
+    at = (cy - (y[0] - 1)).astype(np.intp, copy=False)
+    inside = (at >= 0) & (at < len(reach))
+    reach[at[inside]] = chi[inside]
+    reach = np.maximum(np.maximum(reach[:-2], reach[1:-1]), reach[2:])
+    last = y + reach[(y - y[0]).astype(np.intp, copy=False)]
+    last = np.where(hi == cap + 1, np.maximum(hi, last), hi)
+    return list(zip(*(column.tolist() for column in (y, lo, cap, hi, last + 1 - lo))))
 
 
 def _chunks(depth: int, horizon: int | None, npar: int) -> Iterator[tuple]:
@@ -307,16 +332,14 @@ def _chunks(depth: int, horizon: int | None, npar: int) -> Iterator[tuple]:
     bands lists `_band_layout` tuples of consecutive heights, as many as fit
     in CHUNK_BYTES; a band larger than that has a buffer of its own.
     """
+    bands = _band_layout(depth, horizon)
     row = npar * _nlimbs(depth) * 8
-    chunk, size = [], 0
-    for band in _band_layout(depth, horizon):
-        if chunk and size + band[-1] * row > CHUNK_BYTES:
-            yield chunk, size
-            chunk, size = [], 0
-        chunk.append(band)
-        size += band[-1] * row
-    if chunk:
-        yield chunk, size
+    ends = list(itertools.accumulate(band[-1] * row for band in bands))
+    start, base = 0, 0
+    while start < len(bands):
+        stop = max(start + 1, bisect.bisect_right(ends, base + CHUNK_BYTES, start))
+        yield bands[start:stop], ends[stop - 1] - base
+        start, base = stop, ends[stop - 1]
 
 
 def _continue(limbs: np.ndarray, lo: int, cap: int, hi: int) -> None:
@@ -336,7 +359,7 @@ def initial_layer(*parities: Parity) -> Layer:
     parities = tuple(sorted(set(map(Parity, parities))))
     bands = {}
     for y, lo, cap, _, rows in _band_layout(0):
-        limbs = np.zeros((rows, len(parities), _nlimbs(0)), dtype=np.int64)
+        limbs = np.zeros((rows, len(parities), _nlimbs(0)), dtype=np.uint64)
         for i, parity in enumerate(parities):
             limbs[(parity - lo) % 2 :: 2, i, 0] = 1  # areas of the starting parity
         bands[y] = Band(lo, cap, limbs)
@@ -361,12 +384,12 @@ def _carry_normalize(arr: np.ndarray) -> np.ndarray:
 def _carry_once(arr: np.ndarray) -> np.ndarray:
     """One carry pass over a C-contiguous (..., limbs) array, in place.
 
-    Limbs of at most 4 * (2**LIMB_BITS + 3), an advance's sum of four parent
-    limbs, come out at most 2**LIMB_BITS + 3: the low 60 bits plus a carry of
-    at most 4.  A top limb stays below 2**LIMB_BITS, since a count at depth d
-    is below 4**d <= 2**(LIMB_BITS * limbs), so no carry crosses into the
-    next limb vector; one that would raises OverflowError before any limb
-    changes.
+    Limbs of at most 16 * LIMB_MASK = 2**64 - 16, the sums two advances
+    build from canonical limbs, come out at most LIMB_MASK + 15: the low 60
+    bits plus a carry of at most 15.  A top limb stays below 2**LIMB_BITS,
+    since a count at depth d is below 4**d <= 2**(LIMB_BITS * limbs), so no
+    carry crosses into the next limb vector; one that would raises
+    OverflowError before any limb changes.
     """
     assert arr.flags.c_contiguous, "a non-contiguous view would be carried in a copy"
     words = arr.reshape(-1)
@@ -376,27 +399,6 @@ def _carry_once(arr: np.ndarray) -> np.ndarray:
     words &= LIMB_MASK
     words[1:] += carry[:-1]
     return arr
-
-
-def _advance_band(out: np.ndarray, parent: dict, y: int, lo: int, cap: int, hi: int) -> None:
-    """Build child band y into its zeroed rows `out`: up + down + 2 flat, then the continuation.
-
-    Child row a reads parent band y + dy at area a + y + dy; reads below a
-    parent band's lo add nothing (boundary / floor pruning), and every other
-    read lands in its rows (`_band_layout`), so each read is one slice op.
-    A parent band may hold fewer limbs than `out`; it adds to the low ones.
-    """
-    n = hi + 1 - lo
-    for dy in (0, 1, -1):  # the flat read first, doubled into the zeroed rows
-        band, start = parent.get(y + dy), lo + y + dy
-        if band is None or band.lo >= start + n:
-            continue
-        first = max(start, band.lo)
-        src = band.limbs[first - band.lo : start + n - band.lo]
-        dst = out[first - start : n, :, : src.shape[2]]
-        # src + src: the doubling, cheaper than a shift by a Python int
-        np.add(dst if dy else src, src, out=dst)
-    _continue(out, lo, cap, hi)
 
 
 def advance(layer: Layer, horizon: int | None = None) -> Layer:
@@ -414,6 +416,15 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
     The parent is left with no bands from the start: any later read, save or
     size of it raises, even if the advance stops part way.  A horizon it
     cannot reach raises before anything is freed.
+
+    Child row a of band y reads parent band y + dy at area a + y + dy:
+    nothing below the parent band's lo (boundary / floor pruning), and every
+    other read lands in its rows (`_band_layout`), so each read is one slice
+    op.  Buffers start unzeroed: the flat read writes its rows as src + src
+    (cheaper than a shift by a Python int), only the rows it leaves are
+    zeroed, and the other two reads add.  Where the limb count grows the
+    parent fills only the low limbs, so that buffer starts zeroed.  An
+    advance to an even depth ends each buffer with a carry pass.
     """
     depth = layer.depth + 1
     if (horizon is not None and horizon < depth) or (
@@ -421,22 +432,45 @@ def advance(layer: Layer, horizon: int | None = None) -> Layer:
         raise ValueError(f"a layer of horizon {layer.horizon} at depth {layer.depth} "
                          f"cannot advance to horizon {horizon}")
     parent, layer.bands = layer.bands, None
-    npar, nl = len(layer.parities), _nlimbs(depth)
+    npar, nl, pnl = len(layer.parities), _nlimbs(depth), _nlimbs(layer.depth)
     bands = {}
     unread = sorted(parent)  # parent heights to delete, increasing
     i = 0
     for chunk, nbytes in _chunks(depth, horizon, npar):
+        band = src = None  # keeps no parent band alive past its deletion
         while i < len(unread) and unread[i] < chunk[0][0] - 1:  # read by no band from here
             del parent[unread[i]]
             i += 1
-        buf = np.zeros((nbytes // (8 * npar * nl), npar, nl), dtype=np.int64)
+        buf = (np.zeros if pnl < nl else np.empty)(
+            (nbytes // (8 * npar * nl), npar, nl), dtype=np.uint64)
+        low = buf if pnl == nl else buf[..., :pnl]  # the limbs the parent fills
         row = 0
         for y, lo, cap, hi, rows in chunk:
             out = buf[row : row + rows]
+            body = out if low is buf else low[row : row + rows]
             row += rows
-            _advance_band(out, parent, y, lo, cap, hi)
+            n = hi + 1 - lo
+            for dy in (0, 1, -1):  # the flat read first: it writes, the others add
+                band, skip = parent.get(y + dy), n
+                if band is not None:
+                    start = lo + y + dy
+                    # the rows below the parent band's floor read nothing
+                    skip = min(band.lo - start, n) if band.lo > start else 0
+                    if skip < n:
+                        src = band.limbs[start + skip - band.lo : start + n - band.lo]
+                        if dy:
+                            body[skip:n] += src
+                        else:
+                            np.add(src, src, out=body[skip:n])
+                if skip and not dy:
+                    body[:skip] = 0
+            if rows > n:
+                _continue(out, lo, cap, hi)
             bands[y] = Band(lo, cap, out)
-        _carry_once(buf)
+        if depth % 2 == 0:
+            _carry_once(buf)
+            if buf.max() > LIMB_MASK:
+                _carry_normalize(buf)
     return Layer(depth, layer.parities, bands, horizon)
 
 
@@ -550,7 +584,7 @@ class Checkpoint:
     File layout, all little-endian: the magic bytes; the header (version u32,
     now 7, parity mask u8 with bit p set for each parity p, depth u64, band
     count u64, limbs per cell u64, horizon i64, -1 for a complete layer); per
-    band in increasing height, (y, lo, cap) as i64 and the band's int64 limb
+    band in increasing height, (y, lo, cap) as i64 and the band's u64 limb
     block of (hi + 1 - lo) x parities x limbs, as in memory but without a
     full band's continuation, where limbs is ceil(2 depth / 60) (one at depth
     0) and hi follows from the depth and the horizon (`_band_geometry`);
@@ -566,9 +600,8 @@ class Checkpoint:
     def save(self, path) -> None:
         """Write atomically (`atomic_open`), with canonical limbs.
 
-        Each band is carried in place before it is written, which leaves the
-        layer's counts as they were and its bytes those of a full
-        normalization.
+        Each band is normalized in place before its block is written as raw
+        little-endian words, which leaves the layer's counts as they were.
         """
         layer = self.layer
         with atomic_open(path) as fh:
@@ -582,7 +615,7 @@ class Checkpoint:
                 band = layer.bands[y]
                 crc = _crc_write(fh, _CKPT_BAND.pack(y, band.lo, band.cap), crc)
                 _carry_normalize(band.limbs)
-                crc = _crc_write(fh, np.ascontiguousarray(band.stored(), dtype="<i8"), crc)
+                crc = _crc_write(fh, np.ascontiguousarray(band.stored(), dtype="<u8"), crc)
             fh.write(_CKPT_CRC.pack(crc))
 
     @classmethod
@@ -612,7 +645,7 @@ class Checkpoint:
             k = depth if horizon is None else horizon - depth
             if 32 * (min(depth, k) + 1) > size:
                 raise CheckpointFormatError("checkpoint is truncated")
-            geometry = _band_layout(depth, horizon)
+            geometry = iter(_band_layout(depth, horizon))
             bands = {}
             for y, lo, cap, hi, rows in itertools.islice(geometry, nbands):
                 record, crc = _crc_read(fh, _CKPT_BAND.size, crc)
@@ -623,13 +656,13 @@ class Checkpoint:
                 if 8 * (hi + 1 - lo) * len(parities) * nl > size - fh.tell():
                     raise CheckpointFormatError("checkpoint is truncated")
                 # read straight into the band's rows, the continuation after them
-                limbs = np.empty((rows, len(parities), nl), dtype="<i8")
+                limbs = np.empty((rows, len(parities), nl), dtype="<u8")
                 raw = memoryview(limbs[: hi + 1 - lo]).cast("B")
                 if fh.readinto(raw) != len(raw):
                     raise CheckpointFormatError("checkpoint is truncated")
                 crc = zlib.crc32(raw, crc)
                 _continue(limbs, lo, cap, hi)
-                bands[y] = Band(lo, cap, limbs.astype(np.int64, copy=False))
+                bands[y] = Band(lo, cap, limbs.astype(np.uint64, copy=False))
             if len(bands) != nbands or next(geometry, None) is not None:
                 raise CheckpointFormatError("band count disagrees with the layer geometry")
             stored, _ = _crc_read(fh, _CKPT_CRC.size, 0)
@@ -637,8 +670,8 @@ class Checkpoint:
                 raise CheckpointFormatError("checksum mismatch")
             if fh.read(1):
                 raise CheckpointFormatError("trailing bytes after the checksum")
-        # one carry pass per advance needs canonical limbs to start from
+        # the carry passes of later advances need canonical limbs to start from
         for y, band in bands.items():
-            if band.stored().view(np.uint64).max() > LIMB_MASK:  # a negative limb too
+            if band.stored().max() > LIMB_MASK:
                 raise CheckpointFormatError(f"band {y} holds a limb that is not canonical")
         return cls(Layer(depth, parities, bands, horizon))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine
 
-EXACT_LIMIT = 300         # persistence_exact(300) takes about 3 s (2.4-3.2 s) on 2 vCPUs
+EXACT_LIMIT = 300         # persistence_exact(300) takes 2.0-2.4 s on 2 vCPUs, 400 8.5-9.0 s
 MC_BATCH = 200_000        # samples per Monte Carlo shard; fixes the shard layout
 
 

@@ -689,17 +689,13 @@ def test_rho_manifest_records_extrapolation_and_exact(tmp_path, capsys):
     assert second["config"]["extrapolate"] == [] and second["config"]["exact"] is False
 
 
-def test_verify_fresh_build_passes(capsys):
-    assert run(["verify", "--max-n", "7"]) == EXIT_OK
+def test_verify_fresh_build_passes(tmp_path, capsys):
+    # one whole verify run, which also records its lines in the run dir
+    assert run(["--run-dir", str(tmp_path), "verify", "--max-n", "7"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "15/15 checks passed" in out
-
-
-def test_verify_records_its_lines_in_the_run_dir(tmp_path, capsys):
-    assert run(["--run-dir", str(tmp_path), "verify", "--max-n", "4"]) == EXIT_OK
-    out = capsys.readouterr().out
     assert (tmp_path / "verify.txt").read_text() == out
     assert out.splitlines()[-1] == "15/15 checks passed"
     (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
-    assert entry["command"] == "verify" and entry["config"] == {"max_n": 4}
+    assert entry["command"] == "verify" and entry["config"] == {"max_n": 7}
     assert entry["outputs"] == [str(tmp_path / "verify.txt")]

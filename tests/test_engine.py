@@ -1,6 +1,7 @@
 """Layer recursion: initial condition, advances, caps, checkpoints, extension."""
 
 import copy
+import functools
 import itertools
 import os
 import sys
@@ -328,6 +329,14 @@ def test_cone_bounds_are_tight():
             assert set(range(min(depth, k) + 1)) <= want.keys(), (horizon, depth)
 
 
+def test_a_far_horizon_lays_out_the_complete_layer():
+    # past 2**30 the geometry is computed in Python ints, not int64
+    for horizon in (10 + 2**29, 10 + 2**31, 2**62, 2**63 - 1):
+        assert engine._band_geometry(10, horizon) == engine._band_geometry(10)
+        assert engine._band_layout(10, horizon) == engine._band_layout(10)
+    assert all(type(v) is int for band in engine._band_layout(10, 2**62) for v in band)
+
+
 def test_cone_of_a_smaller_horizon_lies_inside():
     for horizon in range(1, 41):
         for depth in range(horizon + 1):
@@ -378,9 +387,11 @@ def test_carry_refuses_a_non_contiguous_view():
     assert (arr[:, 0] == LIMB_MASK + 1).all()
 
 
-# the most a limb holds between advances, and an advance's sum of four of them
+# a limb just past canonical, and an advance's sum of four of them
 LIMB_BOUND = (1 << LIMB_BITS) + 3
 ADVANCE_SUM = 4 * LIMB_BOUND
+# the most a limb holds two advances past a canonical layer
+TWO_ADVANCE_SUM = 16 * LIMB_MASK
 
 
 def vector_values(arr):
@@ -404,6 +415,23 @@ def test_carry_once_leaves_limbs_within_the_bound():
     assert [engine._limbs_to_int(vector) for vector in arr.reshape(-1, 4)] == want
 
 
+def test_carry_once_takes_two_advances_of_uint64_limbs():
+    # 16 * LIMB_MASK = 2**64 - 16 fits uint64 only; one pass leaves at most
+    # LIMB_MASK + 15: low 60 bits all ones under a carry of 15
+    assert TWO_ADVANCE_SUM == 2**64 - 16
+    arr = np.full((5, 2, 3), TWO_ADVANCE_SUM, dtype=np.uint64)
+    arr[..., -1] = 7  # a top limb with room for the carries
+    arr[1, 1, 1] = (14 << LIMB_BITS) + LIMB_MASK  # the largest limb with low bits all ones
+    want = vector_values(arr)
+    assert engine._carry_once(arr) is arr
+    assert arr[0, 0].tolist() == [LIMB_MASK - 15, LIMB_MASK, 7 + 15]
+    assert arr[1, 1].tolist() == [LIMB_MASK - 15, LIMB_MASK + 15, 7 + 14]
+    assert arr.max() == LIMB_MASK + 15
+    assert vector_values(arr) == want
+    assert engine._carry_normalize(arr).max() <= LIMB_MASK
+    assert vector_values(arr) == want
+
+
 def test_carry_once_refuses_a_carry_out_of_the_top_limb():
     arr = np.array([[LIMB_MASK, 1 << LIMB_BITS], [3, 0]], dtype=np.int64)
     with pytest.raises(OverflowError):
@@ -425,13 +453,13 @@ def test_carry_once_refuses_a_non_contiguous_view():
     assert (arr[:, 0] == ADVANCE_SUM).all()
 
 
-def non_canonical_twins(depth=40):
+def non_canonical_twins(depth=41):
     """A two-parity layer holding a limb of 2**60 + 3, and its carried twin.
 
     The cell (0, cap) of the even parity is set by hand to the count
-    3 + 6 * 2**60: limbs (3, 6) in the twin, (2**60 + 3, 5) in the layer.  An
-    advance leaves such limbs only when a limb's low 60 bits are within 4 of
-    2**60, too rarely to wait for.
+    3 + 6 * 2**60: limbs (3, 6) in the twin, (2**60 + 3, 5) in the layer.
+    The depth is odd: an advance to an even depth leaves every limb
+    canonical, one to an odd depth makes no carry pass.
     """
     twin = layer_at(depth, *Parity)
     layer = engine.Layer(depth, twin.parities, {
@@ -465,6 +493,102 @@ def test_a_non_canonical_limb_saves_as_its_carried_twin(tmp_path):
     assert Checkpoint.load(tmp_path / "layer.ckpt").layer == twin
     # the save carried the layer in place, its counts unchanged
     assert np.array_equal(layer.bands[0].limbs, twin.bands[0].limbs)
+
+
+def recursion_step(value, depth):
+    """The stored cells at `depth` by the recursion in Python ints, from `value` at depth - 1."""
+    return {(y, a): tuple(up + down + 2 * flat for up, down, flat in zip(
+                value(y + 1, a + y + 1), value(y - 1, a + y - 1), value(y, a + y)))
+            for y, lo, _, hi in engine._band_geometry(depth) for a in range(lo, hi + 1)}
+
+
+def cell_reader(cells, depth, npar):
+    """Layer.value over the cells of a complete layer: zero off them, period two above a cap."""
+    caps = {y: cap for y, _, cap, _ in engine._band_geometry(depth)}
+
+    def value(y, a):
+        if y in caps and a > caps[y] + 1:
+            a = caps[y] + (a - caps[y]) % 2
+        return cells.get((y, a), (0,) * npar)
+
+    return value
+
+
+def test_two_advances_from_all_ones_limbs_match_the_int_recursion(monkeypatch):
+    # a canonical layer whose limbs below the top are all LIMB_MASK: one
+    # advance sums them to 4 * LIMB_MASK with no carry pass, and the next to
+    # 16 * LIMB_MASK = 2**64 - 16 before its carry pass, with no wraparound
+    depth = 32
+    layer = layer_at(depth, *Parity)
+    assert engine._nlimbs(depth) == engine._nlimbs(depth + 2) == 2
+    for band in layer.bands.values():
+        band.limbs[..., :-1] = LIMB_MASK
+    first = recursion_step(layer.value, depth + 1)
+    second = recursion_step(cell_reader(first, depth + 1, 2), depth + 2)
+    child = advance(layer)
+    assert max(band.limbs[..., :-1].max() for band in child.bands.values()) == 4 * LIMB_MASK
+    assert {cell: child.value(*cell) for cell in first} == first
+    carry_once, carried = engine._carry_once, []
+
+    def recorded(arr):
+        carried.append(int(arr.max()))
+        return carry_once(arr)
+
+    monkeypatch.setattr(engine, "_carry_once", recorded)
+    grandchild = advance(child)
+    assert max(carried) == TWO_ADVANCE_SUM
+    assert {cell: grandchild.value(*cell) for cell in second} == second
+    assert max(band.limbs.max() for band in grandchild.bands.values()) <= LIMB_MASK
+
+
+def test_a_buffer_one_carry_pass_leaves_above_canonical_is_normalized(monkeypatch):
+    # with the advance's own carry pass of each buffer skipped, the buffers
+    # keep raw sums above LIMB_MASK: the full normalization must take them
+    want = layer_at(42, *Parity)
+    carry_once, seen = engine._carry_once, set()
+
+    def first_pass_skipped(arr):
+        if id(arr) in seen:
+            return carry_once(arr)
+        seen.add(id(arr))
+        return arr
+
+    layer = layer_at(41, *Parity)
+    monkeypatch.setattr(engine, "_carry_once", first_pass_skipped)
+    got = advance(layer)
+    assert got == want
+    assert max(band.limbs.max() for band in got.bands.values()) <= LIMB_MASK
+
+
+@functools.lru_cache(maxsize=1)
+def reference_rows(max_n):
+    return [(n, tuple(reference_count(n - 1, 0, 0, parity) for parity in Parity))
+            for n in range(1, max_n + 1)]
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["cone", "complete"])
+def test_advance_writes_every_row_it_keeps(complete, monkeypatch):
+    # every child buffer starts as a non-zero byte pattern, not zeros, so the
+    # counts stay exact only if each advance writes every row it keeps.  To
+    # n = 40, which the reference reaches in about 1.5 s, past the depth
+    # (31) where a cell gains its second limb
+    empty, poisoned = np.empty, []
+
+    def poisoned_empty(shape, dtype=float, **kwargs):
+        buf = empty(shape, dtype, **kwargs)
+        buf.view(np.uint8).fill(0xA5)
+        poisoned.append(buf.size)
+        return buf
+
+    monkeypatch.setattr(np, "empty", poisoned_empty)
+    rows = []
+    for n, counts, layer in extend_counts(initial_layer(*Parity), 40, complete=complete):
+        rows.append((n, counts))
+    monkeypatch.undo()
+    # a buffer per advance at least, but where a cell gains its second limb
+    assert len(poisoned) >= 38 and min(poisoned) > 0
+    assert rows == reference_rows(40)
+    assert layer == layer_at(39, *Parity, horizon=None if complete else 39)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +721,7 @@ def test_checkpoint_horizon_must_match_the_bands(tmp_path):
     path.write_bytes(with_horizon(good, 19))
     assert Checkpoint.load(path).layer.horizon == 19  # the rewrite itself is sound
     # complete, a wider cone, a narrower one and one behind the depth
-    for horizon in (-1, 20, 18, 9, -2):
+    for horizon in (-1, 20, 18, 9, -2, 2**40, 2**63 - 1):
         path.write_bytes(with_horizon(good, horizon))
         with pytest.raises(CheckpointFormatError, match="geometry"):
             Checkpoint.load(path)
@@ -622,12 +746,12 @@ def test_checkpoint_band_count_must_match_the_geometry(tmp_path):
                 Checkpoint.load(path)
 
 
-def huge_band_header():
-    """69 bytes: a version-7 header at depth 10^8 and the first band record it implies.
+def huge_band_header(depth=10**8, horizon=10**8 + 10**5):
+    """69 bytes: a version-7 header at `depth` and the first band record it implies.
 
-    That band alone would take 828 GiB, so it must be refused before it is allocated.
+    At depth 10^8 that band alone would take 828 GiB, so it must be refused
+    before it is allocated.
     """
-    depth, horizon = 10**8, 10**8 + 10**5
     header = engine._CKPT_HEADER.pack(
         engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
     y, lo, cap, _ = engine._band_geometry(depth, horizon)[0]
@@ -636,10 +760,12 @@ def huge_band_header():
 
 def test_checkpoint_band_larger_than_the_file_is_refused_unallocated(tmp_path):
     path = tmp_path / "crafted.ckpt"
-    path.write_bytes(huge_band_header())
-    assert path.stat().st_size == 69
-    with pytest.raises(CheckpointFormatError, match="truncated"):
-        Checkpoint.load(path)
+    # the second header's geometry is past int64 and laid out in Python ints
+    for header in (huge_band_header(), huge_band_header(2**32, 2**32 + 1)):
+        path.write_bytes(header)
+        assert path.stat().st_size == 69
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            Checkpoint.load(path)
 
 
 def test_checkpoint_refuses_a_limb_that_is_not_canonical(tmp_path):
