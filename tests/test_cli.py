@@ -1,6 +1,8 @@
 """CLI surface: commands, exit codes, formats, the results store."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import zlib
@@ -689,13 +691,27 @@ def test_rho_manifest_records_extrapolation_and_exact(tmp_path, capsys):
     assert second["config"]["extrapolate"] == [] and second["config"]["exact"] is False
 
 
-def test_verify_fresh_build_passes(tmp_path, capsys):
-    # one whole verify run, which also records its lines in the run dir
-    assert run(["--run-dir", str(tmp_path), "verify", "--max-n", "7"]) == EXIT_OK
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    # one whole verify run, shared by the tests of its verdict and of its run dir
+    run_dir = tmp_path_factory.mktemp("verify")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--run-dir", str(run_dir), "verify", "--max-n", "7"])
+    return code, out.getvalue(), run_dir
+
+
+def test_verify_fresh_build_passes(verify_run):
+    code, out, _ = verify_run
+    assert code == EXIT_OK
     assert "15/15 checks passed" in out
-    assert (tmp_path / "verify.txt").read_text() == out
+
+
+def test_verify_records_its_lines_in_the_run_dir(verify_run):
+    code, out, run_dir = verify_run
+    assert code == EXIT_OK
+    assert (run_dir / "verify.txt").read_text() == out
     assert out.splitlines()[-1] == "15/15 checks passed"
-    (entry,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    (entry,) = json.loads((run_dir / "manifest.json").read_text())["runs"]
     assert entry["command"] == "verify" and entry["config"] == {"max_n": 7}
-    assert entry["outputs"] == [str(tmp_path / "verify.txt")]
+    assert entry["outputs"] == [str(run_dir / "verify.txt")]
