@@ -311,7 +311,7 @@ def cmd_oracle(args, store: RunStore | None) -> int:
                 base = oracle.random_sum_distinct_vector(max(2, n - 1), rng)
                 x = (base + base)[:n]
                 max_tied = max(max_tied, oracle.ballot_count(x))
-            all_equal = oracle.ballot_count(tuple([Fraction(1)] * n))
+            all_equal = oracle.ballot_count((1,) * n)
             lines.append(
                 f"# ballot n={n}: sum-distinct={target}, "
                 f"max over random ties={max_tied}, all-equal={all_equal}"
@@ -567,14 +567,14 @@ def cmd_verify(args, store: RunStore | None) -> int:
         assert e64 < e16 < 1, f"llt errors not shrinking: {e16}, {e64}"
 
     def ballot():
-        eq(oracle.ballot_count((Fraction(1), Fraction(3, 5))), 3, "ballot n=2")
+        eq(oracle.ballot_count((5, 3)), 3, "ballot n=2")
         rng = np.random.default_rng(2)
         for n in (2, 3, 4):
             x = oracle.random_sum_distinct_vector(n, rng)
             eq(oracle.ballot_count(x), oracle.double_factorial_odd(n), f"ballot n={n}")
-            tied = oracle.ballot_count(tuple([Fraction(1)] * n))
+            tied = oracle.ballot_count((1,) * n)
             assert tied >= oracle.double_factorial_odd(n), "tied ballot below floor"
-        # integer weights past n = 8, as many vectors as fit in 2 s for each n
+        # weights from [1, 2**40) past n = 8, as many vectors as fit in 2 s for each n
         for n, vectors in ((9, 3), (10, 3), (11, 3), (12, 1)):
             for _ in range(vectors):
                 x = oracle.random_sum_distinct_vector(n, rng)

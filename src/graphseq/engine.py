@@ -164,7 +164,7 @@ class Band:
     """Counts for one height: a dense area band [lo, hi] of limb vectors per parity.
 
     hi is cap + 1 in a complete layer; a cone layer may cut it lower and
-    lo higher (`_band_geometry`).  A full band, hi = cap + 1, holds more
+    lo higher (`_geometry`).  A full band, hi = cap + 1, holds more
     rows: the period-two continuation of its representatives at cap and
     cap + 1, as far as the next advance reads (`_band_layout`).  limbs is
     usually a view into a buffer that consecutive bands share.  At an odd
@@ -296,11 +296,6 @@ def _geometry(depth: int, horizon: int | None) -> tuple:
         hi = np.minimum(hi, cone_reach(k, y))
     keep = lo <= hi
     return y[keep], lo[keep], cap[keep], hi[keep]
-
-
-def _band_geometry(depth: int, horizon: int | None = None) -> tuple:
-    """(y, lo, cap, hi) of each band at `depth`, in increasing height (`_geometry`)."""
-    return tuple(zip(*(column.tolist() for column in _geometry(depth, horizon))))
 
 
 def _band_layout(depth: int, horizon: int | None = None) -> list:
@@ -587,7 +582,7 @@ class Checkpoint:
     band in increasing height, (y, lo, cap) as i64 and the band's u64 limb
     block of (hi + 1 - lo) x parities x limbs, as in memory but without a
     full band's continuation, where limbs is ceil(2 depth / 60) (one at depth
-    0) and hi follows from the depth and the horizon (`_band_geometry`);
+    0) and hi follows from the depth and the horizon (`_band_layout`);
     last, the zlib crc32 of everything before it.
     """
 

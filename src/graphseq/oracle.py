@@ -10,7 +10,6 @@ recursion is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
@@ -332,22 +331,17 @@ def is_sum_distinct(x: Iterable) -> bool:
     return True
 
 
-def random_sum_distinct_vector(n: int, rng, max_denominator: int = 64) -> tuple:
-    """Strictly positive weights with pairwise-distinct subset sums.
+def random_sum_distinct_vector(n: int, rng) -> tuple:
+    """Strictly positive integer weights with pairwise-distinct subset sums.
 
-    Up to n = 8 they are rationals k / max_denominator with 0 < k < 8
-    max_denominator, drawn by rejection, which finds no vector in minutes at
-    n = 10.  Above n = 8 they are integers from [1, 2**40), sum-distinct on
-    the first draw almost surely.  Ballot counts are scale-invariant, so
-    either serves.
+    One draw of n integers, repeated until it is sum-distinct: from [1, 512)
+    up to n = 8, a range small enough that the tied vectors `oracle --ballot`
+    builds from these meet extra subset-sum coincidences, and from [1, 2**40)
+    above, sum-distinct on the first draw almost surely.  Ballot counts are
+    scale-invariant, so integers serve every n.
     """
+    high = 512 if n <= 8 else 1 << 40
     while True:
-        if n <= 8:
-            x = tuple(
-                Fraction(int(rng.integers(1, 8 * max_denominator)), max_denominator)
-                for _ in range(n)
-            )
-        else:
-            x = tuple(int(v) for v in rng.integers(1, 1 << 40, size=n))
+        x = tuple(int(v) for v in rng.integers(1, high, size=n))
         if is_sum_distinct(x):
             return x

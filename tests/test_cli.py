@@ -381,7 +381,7 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
 def test_count_ondemand_refuses_a_band_larger_than_the_file(tmp_path, capsys):
     # a 69-byte file whose header names an 828 GiB first band
     depth, horizon = 10**8, 10**8 + 10**5
-    y, lo, cap, _ = engine._band_geometry(depth, horizon)[0]
+    y, lo, cap, *_ = engine._band_layout(depth, horizon)[0]
     path = tmp_path / "crafted.ckpt"
     path.write_bytes(engine.CHECKPOINT_MAGIC + engine._CKPT_HEADER.pack(
         engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
@@ -564,8 +564,8 @@ def test_count_manifest_records_cost_and_versions(tmp_path, capsys):
 
 
 def test_count_manifest_records_the_cells_advanced(tmp_path, capsys):
-    geometry = engine._band_geometry
-    cells = [sum(hi + 1 - lo for _, lo, _, hi in geometry(d, 39)) for d in range(1, 40)]
+    cells = [sum(hi + 1 - lo for _, lo, _, hi, _ in engine._band_layout(d, 39))
+             for d in range(1, 40)]
     # a layer's buffers hold its cells and the continuation of its full bands
     limbs = max(sum(rows for *_, rows in engine._band_layout(d, 39)) * engine._nlimbs(d)
                 for d in range(1, 40))
@@ -594,6 +594,28 @@ def test_oracle_command_cross_checks(capsys):
     assert "n,G,H,D" in out
     assert "7,342,264,606" in out
     assert "cross-check: ok" in out
+
+
+def test_oracle_ballot_lines_keep_their_values(capsys):
+    # the tie maxima depend on the draw's range, call style and order
+    argv = ["oracle", "--max-n", "1", "--ballot", "9", "--ballot-vectors", "3", "--seed", "5"]
+    assert run(argv) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("# ballot")]
+    assert lines == [
+        f"# ballot n={n}: sum-distinct={target}, "
+        f"max over random ties={tied}, all-equal={equal}"
+        for n, target, tied, equal in (
+            (2, 3, 3, 4),
+            (3, 15, 16, 18),
+            (4, 105, 108, 144),
+            (5, 945, 960, 1200),
+            (6, 10395, 10500, 14400),
+            (7, 135135, 136080, 176400),
+            (8, 2027025, 2037780, 2822400),
+            (9, 34459425, 34604640, 45722880),
+        )
+    ]
 
 
 def test_constants_command_small_grids(capsys):

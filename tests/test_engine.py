@@ -258,7 +258,7 @@ def reachable_sums(max_k):
 
 
 def cone_bands(depth, horizon):
-    return {y: (lo, cap, hi) for y, lo, cap, hi in engine._band_geometry(depth, horizon)}
+    return {y: (lo, cap, hi) for y, lo, cap, hi, _ in engine._band_layout(depth, horizon)}
 
 
 @pytest.mark.parametrize("horizon", [None, *range(1, 41)])
@@ -269,7 +269,7 @@ def test_cone_reads_land_in_stored_rows(horizon):
     for depth in range(1, 41 if horizon is None else horizon + 1):
         parent = {y: (lo, cap, hi, lo + rows - 1)
                   for y, lo, cap, hi, rows in engine._band_layout(depth - 1, horizon)}
-        reachable = {y for y, *_ in engine._band_geometry(depth - 1)}
+        reachable = {y for y, *_ in engine._band_layout(depth - 1)}
         top = {}
         for y, (lo, _, hi) in cone_bands(depth, horizon).items():
             for yp in (y - 1, y, y + 1):
@@ -316,7 +316,7 @@ def test_cone_bounds_are_tight():
         for depth in range(horizon + 1):
             k = horizon - depth
             want = {}
-            for y, floor, cap, _ in engine._band_geometry(depth):
+            for y, floor, cap, *_ in engine._band_layout(depth):
                 bits = sums[k].get(y, 0)
                 if bits:
                     top = bits.bit_length() - 1 - offset
@@ -332,14 +332,13 @@ def test_cone_bounds_are_tight():
 def test_a_far_horizon_lays_out_the_complete_layer():
     # past 2**30 the geometry is computed in Python ints, not int64
     for horizon in (10 + 2**29, 10 + 2**31, 2**62, 2**63 - 1):
-        assert engine._band_geometry(10, horizon) == engine._band_geometry(10)
         assert engine._band_layout(10, horizon) == engine._band_layout(10)
     assert all(type(v) is int for band in engine._band_layout(10, 2**62) for v in band)
 
 
 def test_cone_of_a_smaller_horizon_lies_inside():
     for horizon in range(1, 41):
-        for depth in range(horizon + 1):
+        for depth in range(horizon):  # at depth = horizon the smaller cone is empty
             outer = cone_bands(depth, horizon)
             for y, (lo, cap, hi) in cone_bands(depth, horizon - 1).items():
                 olo, ocap, ohi = outer[y]
@@ -499,12 +498,12 @@ def recursion_step(value, depth):
     """The stored cells at `depth` by the recursion in Python ints, from `value` at depth - 1."""
     return {(y, a): tuple(up + down + 2 * flat for up, down, flat in zip(
                 value(y + 1, a + y + 1), value(y - 1, a + y - 1), value(y, a + y)))
-            for y, lo, _, hi in engine._band_geometry(depth) for a in range(lo, hi + 1)}
+            for y, lo, _, hi, _ in engine._band_layout(depth) for a in range(lo, hi + 1)}
 
 
 def cell_reader(cells, depth, npar):
     """Layer.value over the cells of a complete layer: zero off them, period two above a cap."""
-    caps = {y: cap for y, _, cap, _ in engine._band_geometry(depth)}
+    caps = {y: cap for y, _, cap, *_ in engine._band_layout(depth)}
 
     def value(y, a):
         if y in caps and a > caps[y] + 1:
@@ -754,7 +753,7 @@ def huge_band_header(depth=10**8, horizon=10**8 + 10**5):
     """
     header = engine._CKPT_HEADER.pack(
         engine.CHECKPOINT_VERSION, 1, depth, 1, engine._nlimbs(depth), horizon)
-    y, lo, cap, _ = engine._band_geometry(depth, horizon)[0]
+    y, lo, cap, *_ = engine._band_layout(depth, horizon)[0]
     return engine.CHECKPOINT_MAGIC + header + engine._CKPT_BAND.pack(y, lo, cap)
 
 
