@@ -9,6 +9,7 @@ recursion is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
@@ -31,52 +32,21 @@ def check_degree_sequence(d: Sequence[int]) -> None:
         raise ValueError(f"sequence must be non-increasing: {d}")
 
 
-@dataclass(frozen=True)
-class ConjugateData:
-    """Conjugate view of a degree sequence.
-
-    dprime[i-1] counts the entries >= i; s[i-1] = (n-1) - d_i and
-    sprime[i-1] = n - dprime[i-1] are the complement sums entering the
-    dominating condition; ell is the largest j with d_j >= j.
-    """
-
-    dprime: tuple
-    s: tuple
-    sprime: tuple
-    ell: int
-
-
-def conjugate(d: Sequence[int]) -> ConjugateData:
-    n = len(d)
-    count = [0] * (n + 1)  # count[v]: entries equal to v
-    for x in d:
-        count[x] += 1
-    dprime = tuple(accumulate(reversed(count[1:])))[::-1]  # suffix sums
-    s = tuple((n - 1) - x for x in d)
-    sprime = tuple(n - x for x in dprime)
-    ell = 0
-    for j in range(n):
-        if d[j] >= j + 1:
-            ell = j + 1
-    return ConjugateData(dprime, s, sprime, ell)
-
-
 def is_graphic(d: Sequence[int]) -> tuple:
     """(dominates, even): the sequence is graphic iff both are true.
 
-    `dominates` holds when sum(s[:k]) >= sum(sprime[:k]) for every k <= ell.
+    `dominates` is the conjugate test: with d'_k = #{j : d_j >= k}, the slack
+    sum_{i<=k} (d'_i - 1 - d_i) is non-negative for every k with d_k >= k.
     """
     check_degree_sequence(d)
-    c = conjugate(d)
-    s_run = sp_run = 0
-    dominates = True
-    for k in range(c.ell):
-        s_run += c.s[k]
-        sp_run += c.sprime[k]
-        if s_run < sp_run:
-            dominates = False
+    slack, above = 0, len(d)  # above: d'_k, which only falls as k grows
+    for k, x in enumerate(d, 1):
+        if x < k or slack < 0:  # past the last condition, or one failed
             break
-    return dominates, sum(d) % 2 == 0
+        while d[above - 1] < k:
+            above -= 1
+        slack += above - 1 - x
+    return slack >= 0, sum(d) % 2 == 0
 
 
 def havel_hakimi(d: Sequence[int]) -> bool:
@@ -110,28 +80,17 @@ def enumerate_sequences(n: int) -> Iterator[tuple]:
 class MappedWalk:
     """Walk image of a degree sequence.
 
-    steps lie in {-1, 0, +1}; positions()[k] is the walk height after k+1
-    steps; areas() are the running integrals whose non-negativity is the
-    dominating condition.  One walk stands for 2**lazy_steps sequences.
+    steps lie in {-1, 0, +1}; areas() are the running integrals whose
+    non-negativity is the dominating condition.  One walk stands for
+    2**lazy_steps sequences.
     """
 
     steps: tuple
     end_value: int
     lazy_steps: int
 
-    def positions(self) -> list:
-        out, y = [], 0
-        for s in self.steps:
-            y += s
-            out.append(y)
-        return out
-
     def areas(self) -> list:
-        out, a = [], 0
-        for y in self.positions():
-            a += y
-            out.append(a)
-        return out
+        return list(accumulate(accumulate(self.steps)))
 
 
 def to_walk(d: Sequence[int]) -> MappedWalk:
@@ -146,18 +105,16 @@ def to_walk(d: Sequence[int]) -> MappedWalk:
     """
     check_degree_sequence(d)
     n = len(d)
-    # the staircase as step codes, +1 down and -1 right; walk step k is the
-    # half-sum of path steps k and -1-k (the reflected reversal's step k, negated)
-    path = [1] * (n - 1 - d[0]) + [-1]
-    for i in range(1, n):
-        path += [1] * (d[i - 1] - d[i]) + [-1]
-    path += [1] * d[-1]
-    assert len(path) == 2 * n - 1
-    steps = [(x + y) // 2 for x, y in zip(path[: n - 1], path[: -n : -1])]
-    lazy = steps.count(0)
+    # the staircase as step codes, +1 down and -1 right: right step i follows
+    # n-1-d_i down steps.  Walk step k is the half-sum of path steps k and -1-k
+    # (the reflected reversal's step k, negated)
+    path = [1] * (2 * n - 1)
+    for i, x in enumerate(d):
+        path[n - 1 - x + i] = -1
+    steps = tuple((path[k] + path[-1 - k]) // 2 for k in range(n - 1))
     end = sum(steps)
     assert end in (0, -1)
-    return MappedWalk(tuple(steps), end, lazy)
+    return MappedWalk(steps, end, steps.count(0))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +164,6 @@ def brute_counts(n: int) -> tuple:
             counts[total & 1] += tails[0]
             counts[1 - (total & 1)] += tails[1]
             return
-        if m == n:
-            # all still-active conditions have negative slack: not dominating
-            return
         rem_after = n - m - 1
         for v in range(prev, -1, -1):
             survived = []
@@ -225,12 +179,14 @@ def brute_counts(n: int) -> tuple:
             if dead:
                 break  # the slack bound is monotone in v: smaller v also dies
             k_new = m + 1
+            # every entry is at most n-1, so a new condition's slack plus its
+            # best recovery, k_new*(n-1) - (total+v), is never negative.  At the
+            # last entry (rem_after = 0) an old condition with negative slack
+            # dies and a new one has none, so `active` is empty at m = n
             if v >= k_new:
                 slack = k_new * (k_new - 1) - (total + v)
-                if slack + rem_after * k_new < 0:
-                    continue  # smaller v may recover since slack grows as v falls
                 if slack < 0:
-                    survived = survived + [(k_new, slack)]
+                    survived.append((k_new, slack))
             rec(m + 1, v, total + v, survived)
 
     rec(0, n - 1, 0, [])
@@ -312,10 +268,7 @@ def ballot_count(x: Sequence) -> int:
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = 1 * 3 * ... * (2n-1)."""
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
+    return math.prod(range(1, 2 * n, 2))
 
 
 def is_sum_distinct(x: Iterable) -> bool:

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import graphseq
-from graphseq import cli, constants, engine
+from graphseq import cli, constants, engine, oracle
 from graphseq.cli import (
     EXIT_BAD_ARGS,
     EXIT_MEMORY_CHECKPOINT,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     count_lines,
     parse_bfile,
     parse_csv_counts,
@@ -150,12 +151,12 @@ def test_count_csv_output(capsys):
 def test_bfile_roundtrips_through_csv_exporter():
     rows = count_rows(9)
     bfile = "\n".join(count_lines((engine.Parity.EVEN,), [(n, (g,)) for n, g in rows]))
-    parsed = parse_bfile(bfile)
+    parsed = parse_bfile("# G(n)\n\n" + bfile)  # comment and blank lines are skipped
     assert parsed == rows
     h = dict(count_rows(9, engine.Parity.ODD))
     triples = [(n, g, h[n]) for n, g in parsed]
-    again = parse_csv_counts("\n".join(count_lines(tuple(engine.Parity),
-                                                    [(n, (g, h)) for n, g, h in triples])))
+    csv = count_lines(tuple(engine.Parity), [(n, (g, h)) for n, g, h in triples])
+    again = parse_csv_counts("\n".join(csv) + "\n\n")
     assert again == triples
 
 
@@ -373,9 +374,10 @@ def test_count_ondemand_bad_checkpoint_exits_two(tmp_path, capsys):
     for target in ("6", "3"):  # the checkpoint's n is 6
         argv = ["--checkpoint", str(path), "--target-n", target]
         assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
-    path.write_bytes(good[: len(good) // 2])
     argv = ["--checkpoint", str(path), "--target-n", "9"]
-    assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
+    for bad in (good[: len(good) // 2], good + b"\x00"):  # truncated, trailing byte
+        path.write_bytes(bad)
+        assert ondemand_failure(capsys, argv) == EXIT_BAD_ARGS
 
 
 def test_count_ondemand_refuses_a_band_larger_than_the_file(tmp_path, capsys):
@@ -594,6 +596,41 @@ def test_oracle_command_cross_checks(capsys):
     assert "n,G,H,D" in out
     assert "7,342,264,606" in out
     assert "cross-check: ok" in out
+
+
+def test_oracle_mismatch_with_the_engine_exits_one(capsys, monkeypatch):
+    brute_counts = oracle.brute_counts
+
+    def off_by_one(n):
+        g, h, d = brute_counts(n)
+        return g + 1, h, d + 1
+
+    monkeypatch.setattr(oracle, "brute_counts", off_by_one)
+    assert run(["oracle", "--max-n", "3"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["n,G,H,D", "1,2,0,2", "# MISMATCH at n=1: engine (1, 0)",
+                   "2,3,0,3", "# MISMATCH at n=2: engine (2, 0)",
+                   "3,5,1,6", "# MISMATCH at n=3: engine (4, 1)",
+                   "# engine cross-check: FAILED"]
+
+
+def test_oracle_ballot_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "ballot_count", lambda x: 0)
+    argv = ["oracle", "--max-n", "1", "--ballot", "3", "--ballot-vectors", "1"]
+    assert run(argv) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert out.count("# BALLOT MISMATCH") == 2  # one vector for each of n = 2, 3
+    assert "# BALLOT MISMATCH n=2 at (" in out and "# BALLOT MISMATCH n=3 at (" in out
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    # a wrong ballot count fails that check on its first line, before n = 9..12
+    monkeypatch.setattr(oracle, "ballot_count", lambda x: 0)
+    assert run(["verify", "--max-n", "1"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL - ballot arrangement counts: ballot n=2: 0 != 3" in out
+    assert sum(line.startswith("FAIL - ") for line in out) == 1
+    assert out[-1] == "14/15 checks passed"
 
 
 def test_oracle_ballot_lines_keep_their_values(capsys):

@@ -688,6 +688,13 @@ def test_checkpoint_truncation(cut, tmp_path):
                 Checkpoint.load(path)
 
 
+def test_checkpoint_refuses_trailing_bytes(tmp_path):
+    path, good = saved_bytes(tmp_path)
+    path.write_bytes(good + b"\x00")
+    with pytest.raises(CheckpointFormatError, match="^trailing bytes after the checksum$"):
+        Checkpoint.load(path)
+
+
 def test_checkpoint_single_byte_corruption(tmp_path):
     for parities in PARITY_SETS:
         for horizon in (None, 4):  # a complete layer and a cone layer

@@ -14,7 +14,6 @@ from graphseq.oracle import (
     ballot_count,
     brute_counts,
     brute_counts_naive,
-    conjugate,
     double_factorial_odd,
     enumerate_sequences,
     havel_hakimi,
@@ -68,15 +67,6 @@ def test_is_graphic_hand_cases():
     assert is_graphic((2, 1, 1)) == (True, True)
     assert is_graphic((2, 2, 0)) == (False, True)
     assert is_graphic((1, 1, 1)) == (True, False)
-
-
-def test_conjugate_data():
-    c = conjugate((2, 1, 1))
-    assert c.dprime == (3, 1, 0)
-    assert c.s == (0, 1, 1)
-    assert c.sprime == (0, 2, 3)
-    assert c.ell == 1
-    assert all(c.dprime[i] >= c.dprime[i + 1] for i in range(len(c.dprime) - 1))
 
 
 def test_havel_hakimi_hand_cases():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphseq import oracle
+from graphseq import engine, oracle
 from graphseq.walklab import (
     _mc_shard,
     _walk_grid,
@@ -111,6 +111,20 @@ def test_persistence_exact_equals_engine_counts(n):
 def test_persistence_rejects_large_n():
     with pytest.raises(ValueError):
         persistence_exact(EXACT_LIMIT + 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: engine.count_graphic(0), "n must be >= 1"),
+    (lambda: list(oracle.enumerate_sequences(0)), "n must be >= 1"),
+    (lambda: persistence_exact(0), "n must be >= 1"),
+    (lambda: persistence_mc(5, 0), "samples must be >= 1"),
+    (lambda: joint_dist(0), "n must be >= 1"),
+    (lambda: joint_dist(221), "joint law limited to n <= 220"),
+], ids=["count_graphic", "enumerate_sequences", "persistence_exact", "persistence_mc",
+        "joint_dist-0", "joint_dist-221"])
+def test_size_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
