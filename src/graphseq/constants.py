@@ -11,12 +11,14 @@ any x-order is computed exactly.  Summing signed excursion areas gives a
 heavy-tailed walk; rho is the probability that this walk returns to zero
 before going negative.  One absorbing chain on {-, 0, 1, ..., n-1, *}, from
 one step law and one set of landing masses, has one solver: conjugate
-gradients for P(hit 0) and P(hit '-'), '*' following from the row sums, in
-the pmf's own arithmetic.  Over Fractions, on small grids, CG ends on the
-exact solution; in long doubles each step is one FFT Toeplitz product and
-one FFT solve with T. Chan's circulant preconditioner.  One solve per grid
-gives both the bracket P(hit 0) <= rho <= 1 - P(hit '-'), whose long-double
-ends are shifted down until they check as sub-solutions, and, by one
+gradients for P(hit 0) and P(hit '-') in lockstep, '*' following from the
+row sums, in the pmf's own arithmetic.  Over Fractions, on small grids, CG
+ends on the exact solution; in long doubles each step is one FFT Toeplitz
+product and one FFT solve with T. Chan's circulant preconditioner, batched
+over both vectors.  One solve per grid gives both the bracket P(hit 0) <=
+rho <= 1 - P(hit '-'), whose long-double ends are shifted down until they
+check as sub-solutions by the same FFT product, under an a-priori bound on
+its rounding, and, by one
 Sherman-Morrison step on the vectors as solved, the amalgamated
 estimate (n-1 merged with '*'), Richardson-extrapolated in 1/n.  The leading
 constant of the graphic sequence count is Gamma(3/4) / (4 pi sqrt(2 (1 - rho))).
@@ -258,20 +260,57 @@ def _toeplitz_spectrum(p, m: int):
 
 
 def _toeplitz_product(spectrum, h):
-    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one rfft and one irfft."""
+    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one rfft and one irfft.
+
+    A stack of vectors (rows of h) takes one batched rfft and irfft, each row
+    bit for bit its own call's.
+    """
     size = 2 * (len(spectrum) - 1)
-    return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[: len(h)]
+    return np.fft.irfft(np.fft.rfft(h, size) * spectrum, size)[..., : h.shape[-1]]
+
+
+def _product_error(spectrum, p, h):
+    """delta >= max|_toeplitz_product(spectrum, g) - T g| for every g with |g| <= |h|.
+
+    The product is F^-1 (F c . F g), F the unnormalised DFT of length N = 2^t
+    (`size`), c the circulant's first column and g zero-padded.  Higham,
+    Accuracy and Stability of Numerical Algorithms (2002), Thm 24.2: a radix-2
+    FFT whose twiddles each lie within mu of their exact values computes F x
+    within eps_t ||F x||_2 = eps_t sqrt(N) ||x||_2 in the 2-norm, eps_t = t eta
+    / (1 - t eta), eta = mu + gamma_4 (sqrt 2 + mu), gamma_k = k u / (1 - k u);
+    so does the inverse, whose 1/N is exact.  A complex product rounds by at
+    most sqrt 2 gamma_2 (Lemma 3.5).  With |F g| <= ||g||_1 and |F c| <= ||c||_1
+    componentwise, ||F^-1 v||_2 = ||v||_2 / sqrt N and ||c * g||_2 <= ||c||_1
+    ||g||_2, the errors of F g, of the products and of the inverse add up to
+    (2 eps_t + sqrt 2 gamma_2) ||c||_1 ||g||_2, and that of F c to eps_t ||g||_1
+    ||c||_2, to first order; the largest error is at most the 2-norm.  We
+    assume mu <= 8u: numpy's long-double pocketfft forms each twiddle from two
+    long-double sin/cos table entries, about 4u.  A safety factor of 2 covers
+    the second-order terms and pocketfft's radix-4 real passes, which are not
+    Higham's radix-2 butterflies.  With u = 2^-64, at m = 1023 and g = 1 delta
+    is 2.2e-15 for the lazy kernel, where the product measures within 4e-19 of
+    the direct one.
+    """
+    u = np.finfo(LONG).eps / 2
+    t = (len(spectrum) - 1).bit_length()  # N = 2 (len - 1) = 2^t
+    mu, gamma_2, gamma_4 = 8 * u, 2 * u / (1 - 2 * u), 4 * u / (1 - 4 * u)
+    eta = mu + gamma_4 * (math.sqrt(2) + mu)
+    eps_t = t * eta / (1 - t * eta)
+    kernel = p[1 : len(h)]  # c holds each p[k], 0 < k < m, twice
+    c_1, c_2 = 2 * np.sum(kernel), np.sqrt(2 * np.dot(kernel, kernel))
+    h_1, h_2 = np.sum(np.abs(h)), np.sqrt(np.dot(h, h))
+    return 2 * ((2 * eps_t + math.sqrt(2) * gamma_2) * c_1 * h_2 + eps_t * h_1 * c_2)
 
 
 def _direct_product(p, h):
-    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one direct convolution.
+    """(T h)_i = sum over j != i of p[|i - j|] h_j, by one direct convolution a row.
 
     The kernel p[m-1..1], 0, p[1..m-1] is 2m - 1 long, so the m "valid"
     outputs are exactly (T h)_0 .. (T h)_{m-1}, each one full dot product.
     """
-    m = len(h)
+    m = h.shape[-1]
     kernel = np.concatenate((p[m - 1 : 0 : -1], np.zeros(1, dtype=p.dtype), p[1:m]))
-    return np.convolve(h, kernel, mode="valid")
+    return np.apply_along_axis(np.convolve, -1, h, kernel, "valid")
 
 
 def _chan_spectrum(p, m: int, diag):
@@ -290,7 +329,12 @@ def _chan_spectrum(p, m: int, diag):
 
 def _circulant_solve(spectrum, r):
     """P^-1 r for the circulant P with these eigenvalues, by one rfft and one irfft."""
-    return np.fft.irfft(np.fft.rfft(r) / spectrum, len(r))
+    return np.fft.irfft(np.fft.rfft(r) / spectrum, r.shape[-1])
+
+
+def _row_dots(a, b):
+    """np.dot of each row pair: the order of a 1-D dot, which einsum does not keep."""
+    return np.array([np.dot(x, y) for x, y in zip(a, b)])
 
 
 def _cg_solve(product, rhs, diag, precondition=None):
@@ -303,45 +347,61 @@ def _cg_solve(product, rhs, diag, precondition=None):
     stops once max|rhs - A h| / diag, the size of a Jacobi step, is below
     DEFAULT_SWEEP_TOL; with T. Chan's preconditioner its recursive residual stays
     within 1e-17 of rhs - A h, by the direct product, up to n = 16384.
+
+    The rows of a 2-D rhs are solved in lockstep: each step makes one product and
+    one preconditioner solve for the stack of rows still running, dots are taken
+    row by row and a row stops on its own criterion, so each row's vector and
+    count are bit for bit those of its own solve; the counts come as an array.
     """
     tol = 0 if rhs.dtype == object else DEFAULT_SWEEP_TOL  # over Fractions only r = 0 stops
-    h = np.zeros_like(rhs)
-    r = rhs
+    r = np.atleast_2d(rhs)
+    h, out, counts = np.zeros_like(r), np.zeros_like(r), np.zeros(len(r), dtype=int)
+    live = np.arange(len(r))  # the rows of rhs still running
     d = z = r if precondition is None else precondition(r)
-    rz = np.dot(r, z)
+    rz = _row_dots(r, z)
     for products in range(MAX_SWEEPS):
-        if not r.any() or np.max(np.abs(r)) < tol * diag:
-            return h, products
+        going = np.array([row.any() and np.max(np.abs(row)) >= tol * diag for row in r])
+        if not going.all():
+            out[live[~going]], counts[live[~going]] = h[~going], products
+            live, h, r, d, rz = live[going], h[going], r[going], d[going], rz[going]
+            if not live.size:
+                return (out, counts) if rhs.ndim == 2 else (out[0], int(counts[0]))
         ad = diag * d - product(d)
-        alpha = rz / np.dot(d, ad)
+        alpha = (rz / _row_dots(d, ad))[:, None]
         h, r = h + alpha * d, r - alpha * ad
         z = r if precondition is None else precondition(r)
-        rz, rz_old = np.dot(r, z), rz
-        d = z + rz / rz_old * d
+        rz, rz_old = _row_dots(r, z), rz
+        d = z + (rz / rz_old)[:, None] * d
     raise ChainConvergenceError(f"no convergence to {DEFAULT_SWEEP_TOL} within "
-                                f"{MAX_SWEEPS} products (n = {len(rhs) + 1})")
+                                f"{MAX_SWEEPS} products (n = {rhs.shape[-1] + 1})")
 
 
-def _sub_solution(h, p, rhs, diag):
+def _sub_solution(h, p, rhs, diag, spectrum=None):
     """h shifted down and clamped at 0 until it checks as h <= F(h), else 0.
 
-    F(h) = (rhs + T h) / diag; a trial passes if F(trial), by a direct long-double
-    convolution, exceeds it by gamma F(trial) componentwise, gamma = (m + 2) eps
-    covering the rounding of F.  F is monotone and contracting, so a sub-solution lies
-    below its fixed point, and 0 is one.  A shift by s adds s escape / diag to F(h) - h
-    (escape = diag - T 1, the row sums of A), so the trials are shifts by 1, 2, 4 and 8
-    times (max|F(h) - h| + gamma max F(h)) diag / min(escape), with this F(h) taken
-    by FFT: only shifted vectors pay for the direct check.
+    F(h) = (rhs + T h) / diag, T h by the FFT product on `spectrum` (built from p
+    if not given), whose error is at most delta (`_product_error`) for h and for
+    every trial below it.  A trial passes if F(trial) exceeds it by gamma F(trial)
+    + delta / diag componentwise, gamma = 4 eps covering the rounding of the sum,
+    the quotient and the test; then it passes for every product within delta of
+    the computed one, the exact T trial among them.  F is monotone and
+    contracting, so a sub-solution lies below its fixed point, and 0 is one.  A
+    shift by s adds s escape / diag to F(h) - h (escape = diag - T 1, the row
+    sums of A), so the trials are shifts by 1, 2, 4 and 8 times (max|F(h) - h| +
+    gamma max F(h) + delta / diag) diag / min(escape).
     """
     m = len(h)
-    gamma = (m + 2) * np.finfo(LONG).eps
+    if spectrum is None:
+        spectrum = _toeplitz_spectrum(p, m)
+    gamma = 4 * np.finfo(LONG).eps
+    margin = _product_error(spectrum, p, h) / diag
     cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:m])))
     escape = diag - cum - cum[::-1]
-    f = (rhs + _toeplitz_product(_toeplitz_spectrum(p, m), h)) / diag
-    step = (np.max(np.abs(f - h)) + gamma * np.max(f)) * diag / np.min(escape)
+    f = (rhs + _toeplitz_product(spectrum, h)) / diag
+    step = (np.max(np.abs(f - h)) + gamma * np.max(f) + margin) * diag / np.min(escape)
     for trial in (np.maximum(h - step * k, 0) for k in (1, 2, 4, 8)):
-        f = (rhs + _direct_product(p, trial)) / diag
-        if np.all(f - trial >= gamma * f):
+        f = (rhs + _toeplitz_product(spectrum, trial)) / diag
+        if np.all(f - trial >= gamma * f + margin):
             return trial
     return np.zeros_like(h)
 
@@ -353,25 +413,27 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
     stays put with the flat mass and moves to j with p[|i - j|].  An exact pmf on a grid
     n <= EXACT_CHAIN_LIMIT is solved over Fractions, each product direct, so the vectors
     are the exact solution; otherwise in long doubles, each product one FFT with the
-    circulant that embeds T, preconditioned by T. Chan's circulant (`_chan_spectrum`).
-    Two solves give "zero" and "minus"; "star" is 1 - zero - minus, since the row sums
-    are A 1 = b_zero + b_minus + b_star (diag = 2 sign) and absorption is certain.
-    "sweeps" counts products of T, not the preconditioner's FFTs.  The long-double
-    vectors are as CG leaves them; `rho_bounds` shifts and checks the bracket ends.
+    circulant that embeds T, whose rfft is returned as "spectrum" (None over Fractions),
+    preconditioned by T. Chan's circulant (`_chan_spectrum`).  One lockstep solve gives
+    "zero" and "minus"; "star" is 1 - zero - minus, since the row sums are A 1 = b_zero +
+    b_minus + b_star (diag = 2 sign) and absorption is certain.  "sweeps" counts products
+    of T for both vectors, not the preconditioner's FFTs.  The long-double vectors are as
+    CG leaves them; `rho_bounds` shifts and checks the bracket ends.
     """
     _check_grid(n, pmf)
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     diag = 1 - zero_mass
     if exact:
-        product, precondition = partial(_direct_product, p), None
+        spectrum, product, precondition = None, partial(_direct_product, p), None
     else:
-        product = partial(_toeplitz_product, _toeplitz_spectrum(p, n - 1))
+        spectrum = _toeplitz_spectrum(p, n - 1)
+        product = partial(_toeplitz_product, spectrum)
         precondition = partial(_circulant_solve, _chan_spectrum(p, n - 1, diag))
     b_minus = _landing_masses(n, p, sign)[0][1:]
-    (zero, s1), (minus, s2) = (_cg_solve(product, b, diag, precondition)
-                               for b in (p[1:n], b_minus))
-    return {"zero": zero, "minus": minus, "star": 1 - zero - minus, "sweeps": s1 + s2}
+    (zero, minus), sweeps = _cg_solve(product, np.stack((p[1:n], b_minus)), diag, precondition)
+    return {"zero": zero, "minus": minus, "star": 1 - zero - minus,
+            "sweeps": int(sweeps.sum()), "spectrum": spectrum}
 
 
 @dataclass
@@ -405,7 +467,7 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     Positive tail mass is routed to '*' and negative tail mass to '-', which
     can only widen the bracket, never invalidate it.  Exact pmfs on small
     grids give Fractions.  The iterative path takes both ends from CG vectors
-    shifted down until they pass the direct sub-solution check, shaves each
+    shifted down until they pass the FFT sub-solution check, shaves each
     sum by its rounding bound and rounds outward to float, so the bracket
     holds for the chain the pmf values define.
 
@@ -423,7 +485,7 @@ def rho_bounds(n: int, pmf: AreaPmf) -> RhoEstimate:
     estimate = zero_mass + np.dot(p[1:n], merged) + b_star[0] * merged[-1]
     if not exact:
         ends = ((zero, p[1:n]), (minus, b_minus[1:]))
-        zero, minus = (_sub_solution(v, p, b, 1 - zero_mass) for v, b in ends)
+        zero, minus = (_sub_solution(v, p, b, 1 - zero_mass, h["spectrum"]) for v, b in ends)
     lower = zero_mass + np.dot(p[1:n], zero)
     to_minus = sign + np.dot(p[1:n], minus)
     if exact:

@@ -10,6 +10,7 @@ recursion is checked against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
@@ -28,7 +29,7 @@ def check_degree_sequence(d: Sequence[int]) -> None:
         raise ValueError("empty degree sequence")
     if d[0] > n - 1 or d[-1] < 0:
         raise ValueError(f"entries must lie in [0, {n - 1}]: {d}")
-    if any(d[i] < d[i + 1] for i in range(n - 1)):
+    if any(map(operator.lt, d, d[1:])):
         raise ValueError(f"sequence must be non-increasing: {d}")
 
 

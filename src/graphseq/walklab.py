@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import accumulate, combinations, product
-from typing import Iterator
+from itertools import combinations
 
 import numpy as np
 
@@ -259,28 +258,3 @@ def llt_error(n: int) -> float:
     b = np.arange(-amax, amax + 1, dtype=float).reshape(1, -1)
     density = llt_density(a / math.sqrt(n), b / n**1.5)
     return float(np.max(np.abs(n * n * joint_dist(n) - density)))
-
-
-# ---------------------------------------------------------------------------
-# the sign flip of the final excursion
-
-
-def flip_last_excursion(positions) -> tuple:
-    """Negate the walk after its last visit to zero (before the final step).
-
-    Applied to a walk ending at -1 with non-negative running integrals this
-    produces one ending at +1 with non-negative integrals, preserving the
-    number of flat steps; the map is injective.
-    """
-    positions = tuple(positions)
-    tau = 0
-    for i, y in enumerate(positions[:-1], start=1):
-        if y == 0:
-            tau = i
-    return positions[:tau] + tuple(-y for y in positions[tau:])
-
-
-def enumerate_lazy_paths(n: int) -> Iterator[tuple]:
-    """All 3**n lazy step patterns as position sequences, steps ordered -1, 0, +1."""
-    for steps in product((-1, 0, 1), repeat=n):
-        yield tuple(accumulate(steps))

@@ -663,6 +663,22 @@ def test_constants_command_small_grids(capsys):
     assert "non-rigorous" in out and "rigorous bracket" in out
 
 
+def test_constants_output_keeps_its_bytes(capsys):
+    # every line but the elapsed time is pinned; the brackets are rounded outward
+    # to 10 digits, far above the FFT check's rounding margin
+    assert run(["constants", "--grids", "256,512,1024"]) == EXIT_OK
+    *lines, elapsed = capsys.readouterr().out.splitlines()
+    grids = "grids [256, 512, 1024], K=1024; non-rigorous]"
+    assert lines == [
+        f"rho = 0.515802638331  [richardson over amalgamated chain, {grids}",
+        "  rigorous bracket at n=1024: [0.5157894996, 0.5904646091]",
+        f"rho_hat = 0.077340857768  [richardson over amalgamated chain, {grids}",
+        "  rigorous bracket at n=1024: [0.0773158176, 0.2071948395]",
+        "c = 0.099094083262  [Gamma(3/4) / (4 pi sqrt(2 (1 - rho))); from rho above]",
+    ]
+    assert elapsed.startswith("# elapsed ")
+
+
 def test_constants_solves_each_grid_once(monkeypatch, capsys):
     calls = []
     solve = constants.chain_hitting_iterative

@@ -361,6 +361,79 @@ def test_fft_product_matches_direct_convolution(m):
     assert float(np.max(np.abs(fast - direct))) <= 1e-17
 
 
+def product_test_vectors(m):
+    """Random, all-ones and single-spike h of length m, in long doubles."""
+    spike = np.zeros(m, dtype=np.longdouble)
+    spike[m // 2] = 1
+    return (np.random.default_rng(m).random(m).astype(np.longdouble),
+            np.ones(m, dtype=np.longdouble), spike)
+
+
+def exact_toeplitz_product(p, h):
+    """T h exactly, as Fractions: long doubles are dyadic, so scaled to integers."""
+    m = len(h)
+    p_num, p_den = zip(*(v.as_integer_ratio() for v in p[:m]))
+    h_num, h_den = zip(*(v.as_integer_ratio() for v in h))
+    scale_p, scale_h = max(p_den), max(h_den)
+    kernel = [n * (scale_p // d) for n, d in zip(p_num, p_den)]
+    kernel = np.asarray(kernel[:0:-1] + [0] + kernel[1:], dtype=object)
+    ints = np.asarray([n * (scale_h // d) for n, d in zip(h_num, h_den)], dtype=object)
+    return [F(v, scale_p * scale_h) for v in np.convolve(ints, kernel, mode="valid")]
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+@pytest.mark.parametrize("m", [1, 2, 3, 255])
+def test_fft_product_error_is_within_its_a_priori_bound_exactly(kind, m):
+    p = float_pmf(max(m, 2), kind).p
+    spectrum = constants._toeplitz_spectrum(p, m)
+    for h in product_test_vectors(m):
+        delta = F(*constants._product_error(spectrum, p, h).as_integer_ratio())
+        fast = constants._toeplitz_product(spectrum, h)
+        exact = exact_toeplitz_product(p, h)
+        error = max(abs(F(*v.as_integer_ratio()) - e) for v, e in zip(fast, exact))
+        assert error <= delta
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+@pytest.mark.parametrize("m", [1023, 4095])
+def test_fft_product_error_is_within_its_a_priori_bound_against_direct(kind, m):
+    # the direct long-double sum of m non-negative terms is within gamma of T h;
+    # the bound also stays at least 100x above the error measured
+    p = float_pmf(m + 1, kind).p
+    spectrum = constants._toeplitz_spectrum(p, m)
+    gamma = (m + 2) * np.finfo(np.longdouble).eps
+    for h in product_test_vectors(m):
+        delta = constants._product_error(spectrum, p, h)
+        direct = constants._direct_product(p, h)
+        error = np.max(np.abs(constants._toeplitz_product(spectrum, h) - direct))
+        assert error <= delta + gamma * np.max(direct)
+        assert error * 100 <= delta
+
+
+@pytest.mark.parametrize("kind", ["lazy", "simple"])
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_lockstep_solve_is_two_separate_solves_bit_for_bit(kind, n):
+    exact = n <= constants.EXACT_CHAIN_LIMIT
+    pmf = area_pmf(n, kind, exact=exact)
+    p, zero_mass, sign = constants._pmf_arrays(pmf, exact)
+    diag = 1 - zero_mass
+    if exact:
+        product, precondition = (lambda d: constants._direct_product(p, d)), None
+    else:
+        spectrum = constants._toeplitz_spectrum(p, n - 1)
+        chan = constants._chan_spectrum(p, n - 1, diag)
+        product = lambda d: constants._toeplitz_product(spectrum, d)  # noqa: E731
+        precondition = lambda r: constants._circulant_solve(chan, r)  # noqa: E731
+    rhs = np.stack((p[1:n], constants._landing_masses(n, p, sign)[0][1:]))
+    stacked, counts = constants._cg_solve(product, rhs, diag, precondition)
+    for row, count, b in zip(stacked, counts, rhs):
+        alone, alone_count = constants._cg_solve(product, b, diag, precondition)
+        assert count == alone_count and row.dtype == alone.dtype and list(row) == list(alone)
+    got = chain_hitting_iterative(n, pmf)
+    assert list(got["zero"]) == list(stacked[0]) and list(got["minus"]) == list(stacked[1])
+    assert got["sweeps"] == sum(counts) and (got["spectrum"] is None) == exact
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 257, 1023])
 def test_direct_product_is_the_middle_of_the_full_convolution(m):
     # Fractions stop at 257: the object convolutions at m = 1023 take about 11 s

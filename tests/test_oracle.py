@@ -93,6 +93,19 @@ def test_rejects_invalid_sequences():
             is_graphic(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((), "empty degree sequence"),
+    ((3, 1), "entries must lie in [0, 1]: (3, 1)"),
+    ((2, -1), "entries must lie in [0, 1]: (2, -1)"),
+    ((0, 1), "sequence must be non-increasing: (0, 1)"),
+    ([2, 1, 2, 0], "sequence must be non-increasing: [2, 1, 2, 0]"),
+])
+def test_sequence_check_refusals_and_messages(bad, message):
+    with pytest.raises(ValueError) as refused:
+        oracle.check_degree_sequence(bad)
+    assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # walk mapping
 

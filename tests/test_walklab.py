@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from graphseq.walklab import (
     End,
     bridge_return_counts,
     end_weight,
-    enumerate_lazy_paths,
-    flip_last_excursion,
     joint_dist,
     llt_density,
     llt_error,
@@ -24,6 +23,27 @@ from graphseq.walklab import (
     persistence_mc,
     returns_tail,
 )
+
+
+def enumerate_lazy_paths(n):
+    """All 3**n lazy step patterns as position sequences, steps ordered -1, 0, +1."""
+    for steps in product((-1, 0, 1), repeat=n):
+        yield tuple(accumulate(steps))
+
+
+def flip_last_excursion(positions) -> tuple:
+    """Negate the walk after its last visit to zero (before the final step).
+
+    Applied to a walk ending at -1 with non-negative running integrals this
+    produces one ending at +1 with non-negative integrals, preserving the
+    number of flat steps; the map is injective.
+    """
+    positions = tuple(positions)
+    tau = 0
+    for i, y in enumerate(positions[:-1], start=1):
+        if y == 0:
+            tau = i
+    return positions[:tau] + tuple(-y for y in positions[tau:])
 
 
 # ---------------------------------------------------------------------------
