@@ -366,6 +366,10 @@ def cmd_rho(args, store: RunStore | None) -> int:
     human = []
     # one solve per grid, also for a grid that is only extrapolated over
     solved = {n: constants.rho_bounds(n, pmf) for n in dict.fromkeys(grids + extrapolate)}
+    for n in solved:
+        if args.exact and n > constants.EXACT_CHAIN_LIMIT:
+            print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
+                  f"n={n} uses the iterative solve", file=sys.stderr)
     for n in grids:
         est = solved[n]
         if est.mode == "exact-rational":
@@ -373,9 +377,6 @@ def cmd_rho(args, store: RunStore | None) -> int:
             human.append(f"amalgamated estimate {est.estimate} (non-rigorous)")
             lines.append(f"{n},{order},{est.lower},{est.upper},{est.estimate},")
         else:
-            if args.exact:
-                print(f"# exact solve needs n <= {constants.EXACT_CHAIN_LIMIT}; "
-                      f"n={n} uses the iterative solve", file=sys.stderr)
             human.append(
                 f"n={n}: {est.lower:.10f} ≤ rho ≤ {est.upper:.10f} "
                 f"(amalgamated {est.estimate:.10f}, non-rigorous)"
@@ -683,14 +684,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ballot", type=_int_in(0, oracle.BALLOT_LIMIT), default=0, metavar="N",
                    help="also report ballot counts up to this n")
     p.add_argument("--ballot-vectors", type=_int_in(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("walk", help="bridge persistence estimates")
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--samples", type=_int_in(1), default=1_000_000)
     p.add_argument("--end", choices=tuple(walklab.End.STATES), default=walklab.End.ZERO)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--batch", type=_int_in(1), default=walklab.MC_BATCH,
                    help="samples per shard; fixes the shard layout, and with it "
                         "the estimate, whatever --workers is")

@@ -84,9 +84,6 @@ class TruncatedSeries:
     K: int
     coefficients: dict  # (i, j) -> Fraction, i >= 1, j >= 2
 
-    def x_coefficient(self, i: int) -> dict:
-        return {j: c for (ii, j), c in self.coefficients.items() if ii == i}
-
     def area_weights(self) -> list:
         """[x^i] at y = 1 for i = 0..K (index 0 is always zero)."""
         out = [Fraction(0)] * (self.K + 1)
@@ -238,14 +235,6 @@ def _landing_masses(n: int, p, sign):
     return sign - cum, sign - cum[::-1]
 
 
-def _check_grid(n: int, pmf: AreaPmf) -> None:
-    """The chain on grid n reads p[1..n-1], so any pmf with K >= n serves it."""
-    if n < 2:
-        raise ValueError("grid size must be >= 2")
-    if pmf.K < n:
-        raise ValueError("need K >= n so no interior mass is reassigned")
-
-
 def _toeplitz_spectrum(p, m: int):
     """rfft of the symmetric kernel p[|d|], 0 < |d| < m, as a circulant.
 
@@ -338,24 +327,24 @@ def _row_dots(a, b):
 
 
 def _cg_solve(product, rhs, diag, precondition=None):
-    """Conjugate gradients for A h = rhs, A = diag I - T; returns (h, products of T).
+    """Conjugate gradients for A H = rhs, A = diag I - T; returns (H, products of T).
 
-    A is symmetric and diagonally dominant, so positive definite.  `precondition`,
-    if given, applies the inverse of a positive definite P to a residual (PCG);
-    its work is not counted.  Over Fractions CG runs unpreconditioned and stops on an
-    exactly zero residual, which it reaches within len(rhs) steps.  In long doubles it
-    stops once max|rhs - A h| / diag, the size of a Jacobi step, is below
-    DEFAULT_SWEEP_TOL; with T. Chan's preconditioner its recursive residual stays
+    rhs is a stack of rows of length m.  A is symmetric and diagonally dominant, so
+    positive definite.  `precondition`, if given, applies the inverse of a positive
+    definite P to the residuals (PCG); its work is not counted.  Over Fractions CG runs
+    unpreconditioned and stops on an exactly zero residual, reached within m steps.  In
+    long doubles a row stops once max|rhs - A h| / diag, the size of a Jacobi step, is
+    below DEFAULT_SWEEP_TOL; with T. Chan's preconditioner its recursive residual stays
     within 1e-17 of rhs - A h, by the direct product, up to n = 16384.
 
-    The rows of a 2-D rhs are solved in lockstep: each step makes one product and
-    one preconditioner solve for the stack of rows still running, dots are taken
-    row by row and a row stops on its own criterion, so each row's vector and
-    count are bit for bit those of its own solve; the counts come as an array.
+    The rows are solved in lockstep: each step makes one product and one preconditioner
+    solve for the stack of rows still running, dots are taken row by row and a row stops
+    on its own criterion, so each row's vector and its entry of the counts are bit
+    for bit those of a one-row stack.
     """
     tol = 0 if rhs.dtype == object else DEFAULT_SWEEP_TOL  # over Fractions only r = 0 stops
-    r = np.atleast_2d(rhs)
-    h, out, counts = np.zeros_like(r), np.zeros_like(r), np.zeros(len(r), dtype=int)
+    r, h, out = rhs, np.zeros_like(rhs), np.zeros_like(rhs)
+    counts = np.zeros(len(r), dtype=int)
     live = np.arange(len(r))  # the rows of rhs still running
     d = z = r if precondition is None else precondition(r)
     rz = _row_dots(r, z)
@@ -365,7 +354,7 @@ def _cg_solve(product, rhs, diag, precondition=None):
             out[live[~going]], counts[live[~going]] = h[~going], products
             live, h, r, d, rz = live[going], h[going], r[going], d[going], rz[going]
             if not live.size:
-                return (out, counts) if rhs.ndim == 2 else (out[0], int(counts[0]))
+                return out, counts
         ad = diag * d - product(d)
         alpha = (rz / _row_dots(d, ad))[:, None]
         h, r = h + alpha * d, r - alpha * ad
@@ -376,23 +365,21 @@ def _cg_solve(product, rhs, diag, precondition=None):
                                 f"{MAX_SWEEPS} products (n = {rhs.shape[-1] + 1})")
 
 
-def _sub_solution(h, p, rhs, diag, spectrum=None):
+def _sub_solution(h, p, rhs, diag, spectrum):
     """h shifted down and clamped at 0 until it checks as h <= F(h), else 0.
 
-    F(h) = (rhs + T h) / diag, T h by the FFT product on `spectrum` (built from p
-    if not given), whose error is at most delta (`_product_error`) for h and for
-    every trial below it.  A trial passes if F(trial) exceeds it by gamma F(trial)
-    + delta / diag componentwise, gamma = 4 eps covering the rounding of the sum,
-    the quotient and the test; then it passes for every product within delta of
-    the computed one, the exact T trial among them.  F is monotone and
-    contracting, so a sub-solution lies below its fixed point, and 0 is one.  A
-    shift by s adds s escape / diag to F(h) - h (escape = diag - T 1, the row
-    sums of A), so the trials are shifts by 1, 2, 4 and 8 times (max|F(h) - h| +
-    gamma max F(h) + delta / diag) diag / min(escape).
+    F(h) = (rhs + T h) / diag, T h by the FFT product on the grid's `spectrum` (as
+    `chain_hitting_iterative` returns it), whose error is at most delta
+    (`_product_error`) for h and for every trial below it.  A trial passes if F(trial)
+    exceeds it by gamma F(trial) + delta / diag componentwise, gamma = 4 eps covering
+    the rounding of the sum, the quotient and the test; then it passes for every product
+    within delta of the computed one, the exact T trial among them.  F is monotone and
+    contracting, so a sub-solution lies below its fixed point, and 0 is one.  A shift by
+    s adds s escape / diag to F(h) - h (escape = diag - T 1, the row sums of A), so the
+    trials are shifts by 1, 2, 4 and 8 times (max|F(h) - h| + gamma max F(h) +
+    delta / diag) diag / min(escape).
     """
     m = len(h)
-    if spectrum is None:
-        spectrum = _toeplitz_spectrum(p, m)
     gamma = 4 * np.finfo(LONG).eps
     margin = _product_error(spectrum, p, h) / diag
     cum = np.concatenate((np.zeros(1, dtype=LONG), np.cumsum(p[1:m])))
@@ -415,12 +402,16 @@ def chain_hitting_iterative(n: int, pmf: AreaPmf) -> dict:
     are the exact solution; otherwise in long doubles, each product one FFT with the
     circulant that embeds T, whose rfft is returned as "spectrum" (None over Fractions),
     preconditioned by T. Chan's circulant (`_chan_spectrum`).  One lockstep solve gives
-    "zero" and "minus"; "star" is 1 - zero - minus, since the row sums are A 1 = b_zero +
-    b_minus + b_star (diag = 2 sign) and absorption is certain.  "sweeps" counts products
-    of T for both vectors, not the preconditioner's FFTs.  The long-double vectors are as
-    CG leaves them; `rho_bounds` shifts and checks the bracket ends.
+    "zero" and "minus"; "star" is 1 - zero - minus, since the row sums are A 1 = b_zero
+    + b_minus + b_star (diag = 2 sign) and absorption is certain.  "sweeps" counts
+    products of T for both vectors, not the preconditioner's FFTs.  Long-double vectors
+    are as CG leaves them, for `rho_bounds` to shift and check on "spectrum".  Since the
+    chain reads p[1..n-1], n < 2 or K < n raises ValueError.
     """
-    _check_grid(n, pmf)
+    if n < 2:
+        raise ValueError("grid size must be >= 2")
+    if pmf.K < n:
+        raise ValueError("need K >= n so no interior mass is reassigned")
     exact = pmf.exact and n <= EXACT_CHAIN_LIMIT
     p, zero_mass, sign = _pmf_arrays(pmf, exact)
     diag = 1 - zero_mass

@@ -87,7 +87,6 @@ class MappedWalk:
     """
 
     steps: tuple
-    end_value: int
     lazy_steps: int
 
     def areas(self) -> list:
@@ -113,9 +112,8 @@ def to_walk(d: Sequence[int]) -> MappedWalk:
     for i, x in enumerate(d):
         path[n - 1 - x + i] = -1
     steps = tuple((path[k] + path[-1 - k]) // 2 for k in range(n - 1))
-    end = sum(steps)
-    assert end in (0, -1)
-    return MappedWalk(steps, end, steps.count(0))
+    assert sum(steps) in (0, -1)
+    return MappedWalk(steps, steps.count(0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +190,6 @@ def brute_counts(n: int) -> tuple:
 
     rec(0, n - 1, 0, [])
     return counts[0], counts[1], counts[0] + counts[1]
-
-
-def brute_counts_naive(n: int) -> tuple:
-    """Same counts by checking every sequence; for cross-validating the fast path."""
-    g = h = 0
-    for d in enumerate_sequences(n):
-        dominates, even = is_graphic(d)
-        if dominates:
-            if even:
-                g += 1
-            else:
-                h += 1
-    return g, h, g + h
 
 
 # ---------------------------------------------------------------------------

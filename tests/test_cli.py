@@ -101,6 +101,8 @@ def test_bad_arguments_exit_code(capsys):
         ["oracle", "--max-n", "30"],
         ["oracle", "--ballot", "3", "--ballot-vectors", "-1"],
         ["verify", "--max-n", "0"],
+        ["walk", "--n", "5", "--samples", "10", "--seed", "-1"],
+        ["oracle", "--max-n", "2", "--ballot", "3", "--seed", "-1"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
@@ -172,6 +174,14 @@ def test_rho_exact_notes_iterative_fallback(capsys):
     captured = capsys.readouterr()
     assert captured.err == "# exact solve needs n <= 8; n=40 uses the iterative solve\n"
     assert "n=40: " in captured.out
+
+
+def test_rho_exact_notes_grids_solved_only_for_extrapolation(capsys):
+    assert run(["rho", "--grid", "2", "--exact", "--extrapolate", "16,32"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ("# exact solve needs n <= 8; n=16 uses the iterative solve\n"
+                            "# exact solve needs n <= 8; n=32 uses the iterative solve\n")
+    assert "65/128 ≤ rho ≤ 93/128" in captured.out
 
 
 def test_rho_exact_builds_its_pmf_without_the_generating_function(monkeypatch, capsys):
